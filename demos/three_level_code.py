@@ -13,7 +13,6 @@ from pathlib import Path
 from mixedcyclic import (
     build_spanning_set,
     codeword_count_exponent,
-    derive_cofactors,
     diff_against_reference,
     mixing_certificates,
     validate_generators,
@@ -32,7 +31,7 @@ def main():
     for line in report.to_lines():
         print("  " + line)
 
-    c = derive_cofactors(gens)
+    c = report.require_cofactors()  # the cofactors come from the same pass
     s = build_spanning_set(gens, c)
     print("\nspanning blocks (level, layer) -> rows:")
     for (i, j), count in sorted(s.counts.items()):

@@ -14,7 +14,6 @@ from mixedcyclic import (
     brute_force_dual,
     build_spanning_set,
     codeword_count_exponent,
-    derive_cofactors,
     enumerate_codewords,
     membership_test,
     min_distance,
@@ -39,7 +38,7 @@ def main():
     for line in report.to_lines():
         print("  " + line)
 
-    c = derive_cofactors(gens)
+    c = report.require_cofactors()  # the cofactors come from the same pass
     s = build_spanning_set(gens, c)
     print("\nspanning set:")
     for (i, j, k), row in s.rows:

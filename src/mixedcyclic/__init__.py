@@ -15,7 +15,6 @@ from .modring import (
     ModulusMismatch,
     Poly,
     divides_witness,
-    poly_add,
     poly_divmod_unit_lead,
     poly_mul,
     solve_linear_mod2k,
@@ -26,7 +25,6 @@ from .codespace import (
     Codeword,
     PolyTuple,
     ProfileMismatch,
-    add_codewords,
     all_codewords,
     cyclic_shift,
     from_polys,

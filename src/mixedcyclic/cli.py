@@ -28,10 +28,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .closure import module_closure
-from .codespace import AlphabetProfile, BudgetExceeded
+from .codespace import AlphabetProfile, BudgetExceeded, partition_range
 from .duality import brute_force_dual
-from .generators import StructuredGenerators, derive_cofactors, validate_generators
-from .metrics import gray_map, mixed_weight
+from .generators import StructuredGenerators, validate_generators
+from .metrics import gray_map, merge_distributions, weight_distribution
 from .modring import Poly
 from .spanning import (
     build_spanning_set,
@@ -75,21 +75,17 @@ def _expect(cond, path, msg):
         raise SchemaError(f"{path}: {msg}")
 
 
-def _coeff_array(raw, path, level, max_len=None):
+def _coeff_array(raw, path, level, max_len):
     _expect(isinstance(raw, list), path, "expected a coefficient array")
     mod = 1 << level
     for pos, v in enumerate(raw):
-        _expect(isinstance(v, int) and not isinstance(v, bool), f"{path}[{pos}]",
-                "coefficient must be an integer")
+        _expect(type(v) is int, f"{path}[{pos}]", "coefficient must be an integer")
         _expect(0 <= v < mod, f"{path}[{pos}]",
                 f"coefficient {v} out of range [0, {mod}) for level {level}")
-    if max_len is not None:
-        trimmed = len(raw)
-        while trimmed and raw[trimmed - 1] == 0:
-            trimmed -= 1
-        _expect(trimmed <= max_len, path,
-                f"degree {trimmed - 1} too large (limit {max_len - 1})")
-    return Poly(tuple(raw), level)
+    p = Poly(tuple(raw), level)  # drops trailing zeros, so len(coeffs) = degree + 1
+    _expect(len(p.coeffs) <= max_len, path,
+            f"degree {p.degree()} too large (limit {max_len - 1})")
+    return p
 
 
 def load_code_spec(text: str) -> StructuredGenerators:
@@ -104,12 +100,13 @@ def load_code_spec(text: str) -> StructuredGenerators:
         _expect(key in allowed, key, "unknown field")
 
     n = doc.get("n")
-    _expect(isinstance(n, int) and n >= 1, "n", "must be an integer >= 1")
+    # type() rather than isinstance(): JSON true loads as bool, a subclass of int
+    _expect(type(n) is int and n >= 1, "n", "must be an integer >= 1")
     alphas = doc.get("alphas")
     _expect(isinstance(alphas, list) and len(alphas) == n, "alphas",
             f"must be a list of {n} lengths")
     for i, a in enumerate(alphas):
-        _expect(isinstance(a, int) and a >= 1, f"alphas[{i}]", "must be >= 1")
+        _expect(type(a) is int and a >= 1, f"alphas[{i}]", "must be an integer >= 1")
     allow = doc.get("allow_nonstandard_profile", False)
     _expect(isinstance(allow, bool), "allow_nonstandard_profile", "must be a boolean")
     try:
@@ -160,17 +157,43 @@ class ValidationFailure(Exception):
         super().__init__("generator family fails validation")
 
 
-def _validated(gens, extend_iv=False):
-    report = validate_generators(gens, extend_iv=extend_iv)
+def _validated(gens):
+    report = validate_generators(gens)
     if not report.passed:
         raise ValidationFailure(report)
     return report
 
 
-def _chunks(total, workers):
-    workers = max(1, min(workers, total)) if total else 1
-    step = (total + workers - 1) // workers if total else 1
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+def _spanning(gens):
+    c = _validated(gens).require_cofactors()
+    return c, build_spanning_set(gens, c)
+
+
+def _enumerable(gens, args):
+    """The spanning set and its enumeration length, within --budget-enum."""
+    c, s = _spanning(gens)
+    total = span_size(s)
+    if total > args.budget_enum:
+        raise BudgetExceeded(f"2^{codeword_count_exponent(c)} combinations, "
+                             f"budget {args.budget_enum}")
+    return c, s, total
+
+
+def _scan_code(gens, args, work):
+    """Map work over contiguous ranges of the enumeration, one per worker;
+    the parts come back in range order."""
+    c, s, total = _enumerable(gens, args)
+
+    def run(rng):
+        return work(iter_codeword_range(s, *rng))
+
+    chunks = partition_range(total, args.threads)
+    if len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(run, chunks))
+    else:
+        parts = [run(rng) for rng in chunks]
+    return c, s, total, parts
 
 
 def _cmd_validate(gens, args):
@@ -181,32 +204,22 @@ def _cmd_validate(gens, args):
 
 
 def _cmd_cofactors(gens, args):
-    _validated(gens)
-    c = derive_cofactors(gens)
+    c = _validated(gens).require_cofactors()
     lines = []
     payload = {"h": [], "m": [], "d": []}
-    for (i, j), p in sorted(c.h.items()):
-        lines.append(f"h[{i}][{j}] = {p} (rows {c.h_rows[(i, j)]})")
-        payload["h"].append({"level": i, "index": j, "poly": list(p.coeffs),
-                             "rows": c.h_rows[(i, j)]})
-    for (i, j), p in sorted(c.m.items()):
-        lines.append(f"m[{i}][{j}] = {p} (rows {c.m_rows[(i, j)]})")
-        payload["m"].append({"level": i, "index": j, "poly": list(p.coeffs),
-                             "rows": c.m_rows[(i, j)]})
+    for name, table, rows in (("h", c.h, c.h_rows), ("m", c.m, c.m_rows)):
+        for (i, j), p in sorted(table.items()):
+            lines.append(f"{name}[{i}][{j}] = {p} (rows {rows[(i, j)]})")
+            payload[name].append({"level": i, "index": j, "poly": list(p.coeffs),
+                                  "rows": rows[(i, j)]})
     for i, p in sorted(c.d.items()):
         lines.append(f"d[{i}] = {p}")
         payload["d"].append({"level": i, "poly": list(p.coeffs)})
     return payload, lines, [dict(w) for w in c.warnings], False
 
 
-def _spanning(gens):
-    c = derive_cofactors(gens)
-    return c, build_spanning_set(gens, c)
-
-
 def _cmd_span(gens, args):
-    _validated(gens)
-    c, s = _spanning(gens)
+    _, s = _spanning(gens)
     lines = [f"rows={len(s.rows)}"]
     for (i, j, k), row in s.rows:
         lines.append(f"{i},{j},{k}: {row.to_text()}")
@@ -224,15 +237,17 @@ def _cmd_span(gens, args):
 
 
 def _cmd_matrix(gens, args):
-    _validated(gens)
     _, s = _spanning(gens)
     warnings = [dict(w) for w in s.warnings]
+    payload = matrix_to_json_payload(s)
+    if args.format == "json" and not args.diff:
+        return payload, [json.dumps(payload, sort_keys=True, indent=2)], warnings, False
+    lines = [matrix_to_csv(s)] if s.rows else []
     if args.diff:
         with open(args.diff) as fh:
             ref = parse_matrix_csv(gens.profile, fh.read())
         diff = diff_against_reference(s, ref)
-        payload = {"matrix": matrix_to_json_payload(s), "diff": diff}
-        lines = [matrix_to_csv(s)] if s.rows else []
+        payload = {"matrix": payload, "diff": diff}
         lines.append(f"# diff against {args.diff}")
         for d in diff["duplicate_reference_rows"]:
             lines.append(
@@ -244,87 +259,36 @@ def _cmd_matrix(gens, args):
             lab = ",".join(str(x) for x in d["label"])
             kind = "zero row" if d["zero_row"] else "row"
             lines.append(f"# produced {kind} {lab} absent from reference")
-        return payload, lines, warnings, False
-    if args.format == "json":
-        payload = matrix_to_json_payload(s)
-        lines = [json.dumps(payload, sort_keys=True, indent=2)]
-    else:
-        payload = matrix_to_json_payload(s)
-        lines = [matrix_to_csv(s)] if s.rows else []
     return payload, lines, warnings, False
 
 
 def _cmd_enum(gens, args):
-    _validated(gens)
-    c, s = _spanning(gens)
-    total = span_size(s)
-    if total > args.budget_enum:
-        raise BudgetExceeded(f"2^{codeword_count_exponent(c)} combinations, "
-                             f"budget {args.budget_enum}")
-    def render(rng):
-        return [w.to_text() for w in iter_codeword_range(s, *rng)]
-
-    chunks = _chunks(total, args.threads)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rendered = list(pool.map(render, chunks))
-    else:
-        rendered = [render(rng) for rng in chunks]
-    lines = []
-    distinct = set()
-    for chunk in rendered:
-        lines.extend(chunk)
-        distinct.update(chunk)
+    c, s, total, parts = _scan_code(
+        gens, args, lambda words: [w.to_text() for w in words])
+    lines = [line for part in parts for line in part]
+    distinct = len(set(lines))
     expected = codeword_count_exponent(c)
     warnings = [dict(w) for w in s.warnings]
-    if len(distinct) != 1 << expected:
+    if distinct != 1 << expected:
         warnings.append({
             "code": "minimality_violation",
-            "detail": f"distinct {len(distinct)} != 2^{expected}"})
-    lines.append(f"# distinct={len(distinct)} stream={total}")
-    payload = {"distinct": len(distinct), "stream": total, "exponent": expected}
+            "detail": f"distinct {distinct} != 2^{expected}"})
+    lines.append(f"# distinct={distinct} stream={total}")
+    payload = {"distinct": distinct, "stream": total, "exponent": expected}
     return payload, lines, warnings, False
 
 
 def _cmd_count(gens, args):
-    _validated(gens)
-    c = derive_cofactors(gens)
+    c = _validated(gens).require_cofactors()
     t = codeword_count_exponent(c)
     lines = [f"t={t}, |C|={1 << t}"]
     return {"exponent": t, "count": 1 << t}, lines, [dict(w) for w in c.warnings], False
 
 
 def _cmd_mindist(gens, args):
-    _validated(gens)
-    c, s = _spanning(gens)
-    total = span_size(s)
-    if total > args.budget_enum:
-        raise BudgetExceeded(f"2^{codeword_count_exponent(c)} combinations, "
-                             f"budget {args.budget_enum}")
-
-    def scan(rng):
-        best = None
-        dist = {}
-        for w in iter_codeword_range(s, *rng):
-            wt = mixed_weight(w)
-            dist[wt] = dist.get(wt, 0) + 1
-            if wt and (best is None or wt < best):
-                best = wt
-        return best, dist
-
-    chunks = _chunks(total, args.threads)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(scan, chunks))
-    else:
-        results = [scan(rng) for rng in chunks]
-    best = None
-    dist = {}
-    for b, d in results:
-        if b is not None and (best is None or b < best):
-            best = b
-        for wt, cnt in d.items():
-            dist[wt] = dist.get(wt, 0) + cnt
+    _, s, total, parts = _scan_code(gens, args, weight_distribution)
+    dist = merge_distributions(parts)
+    best = min((wt for wt in dist if wt), default=None)
     lines = ["d=undefined (no nonzero codeword)" if best is None else f"d={best}"]
     if args.distribution:
         lines.append("weight,count")
@@ -349,12 +313,8 @@ def _cmd_dual(gens, args):
 
 
 def _cmd_oracle_check(gens, args):
-    _validated(gens)
-    c, s = _spanning(gens)
-    total = span_size(s)
-    if total > args.budget_enum:
-        raise BudgetExceeded(f"2^{codeword_count_exponent(c)} combinations, "
-                             f"budget {args.budget_enum}")
+    # sequential: threads only slow this scan down, the closure dominates
+    _, s, total = _enumerable(gens, args)
     enumerated = {w.flat() for w in iter_codeword_range(s, 0, total)}
     oracle = module_closure(gens.generator_codewords(), budget=args.budget_enum)
     if not oracle.saturated:
@@ -411,6 +371,13 @@ def dispatch(command, args) -> tuple[RunReport, list, int]:
     return report, lines, 1 if failed else 0
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mixedcyclic",
@@ -422,8 +389,8 @@ def build_parser():
             p.add_argument("document", help="JSON code document")
         p.add_argument("--json", action="store_true",
                        help="emit the full run report as JSON")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap for partitioned scans")
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="worker cap for partitioned scans (at most the CPU count is used)")
         p.add_argument("--budget-enum", type=int, default=DEFAULT_ENUM_BUDGET,
                        help="max enumerated codewords")
         p.add_argument("--budget-space", type=int, default=DEFAULT_SPACE_BUDGET,

@@ -13,6 +13,7 @@ into polynomial modules.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 from .modring import Poly
@@ -64,9 +65,6 @@ class AlphabetProfile:
 
     def shift_order(self):
         return math.lcm(*self.alphas)
-
-    def total_coordinates(self):
-        return sum(self.alphas)
 
     def space_size_exponent(self):
         """log2 of the ambient module size, sum of i*alpha_i."""
@@ -175,10 +173,6 @@ def cyclic_shift(v: Codeword) -> Codeword:
     return Codeword(v.profile, tuple(b[-1:] + b[:-1] for b in v.components))
 
 
-def add_codewords(u: Codeword, v: Codeword) -> Codeword:
-    return u + v
-
-
 def scalar_action(d: Poly, u: PolyTuple) -> PolyTuple:
     """Act by a scalar polynomial: component i gets (d mod 2^i) * u_i.
 
@@ -190,10 +184,6 @@ def scalar_action(d: Poly, u: PolyTuple) -> PolyTuple:
         di = d.at_level(i)
         out.append((di * p).reduce_cyclic(u.profile.alpha(i)))
     return PolyTuple(u.profile, tuple(out))
-
-
-def scalar_action_codeword(d: Poly, v: Codeword) -> Codeword:
-    return from_polys(scalar_action(d, to_polys(v)))
 
 
 def _coordinate_moduli(profile):
@@ -219,6 +209,19 @@ def all_codewords(profile):
     ranges = [range(m) for m in _coordinate_moduli(profile)]
     for flat in itertools.product(*ranges):
         yield _from_flat(profile, flat)
+
+
+def partition_range(total, workers):
+    """Split range(total) into contiguous (start, stop) chunks, in order.
+
+    One chunk per worker, with the worker count clamped to
+    1..min(total, os.cpu_count()).  A scan that maps each chunk and
+    concatenates the parts in chunk order reproduces the sequential
+    scan, whatever the worker count.
+    """
+    workers = max(1, min(workers, total, os.cpu_count() or 1))
+    step = max(1, -(-total // workers))
+    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
 def iter_space_range(profile, start, stop):

@@ -19,6 +19,7 @@ from .codespace import (
     ProfileMismatch,
     cyclic_shift,
     iter_space_range,
+    partition_range,
 )
 
 
@@ -45,7 +46,6 @@ def shift_adjoint_check(u: Codeword, v: Codeword):
 @dataclass(frozen=True)
 class DualResult:
     dual_codewords: tuple  # canonical lexicographic order
-    source_count: int | None
     cyclic_flag: bool
 
     @property
@@ -67,15 +67,12 @@ def spanning_family(generators):
     return family
 
 
-def brute_force_dual(generators, profile, budget=1 << 20, source_count=None,
-                     check_full=None, threads=1):
+def brute_force_dual(generators, profile, budget=1 << 20, threads=1):
     """Scan the ambient module for the dual of the code the generators span.
 
     The scan splits into coordinate-prefix ranges filtered independently
     (threads caps the workers) and merged in range order, so the result
-    is canonical regardless of the worker count.  check_full, when given an
-    explicit enumeration of the code, re-tests every kept vector against
-    every codeword (debug mode).
+    is canonical regardless of the worker count.
     """
     total = 1 << profile.space_size_exponent()
     if total > budget:
@@ -90,18 +87,13 @@ def brute_force_dual(generators, profile, budget=1 << 20, source_count=None,
             if all(inner_product(u, v) == 0 for u in family)
         ]
 
-    workers = max(1, min(threads, total))
-    step = (total + workers - 1) // workers
-    chunks = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    chunks = partition_range(total, threads)
+    if len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(scan, chunks))
     else:
         parts = [scan(rng) for rng in chunks]
     dual = [v for part in parts for v in part]
-    if check_full is not None:
-        full = list(check_full)
-        dual = [v for v in dual if all(inner_product(u, v) == 0 for u in full)]
     keys = {v.flat() for v in dual}
     cyclic = all(cyclic_shift(v).flat() in keys for v in dual)
-    return DualResult(tuple(dual), source_count, cyclic)
+    return DualResult(tuple(dual), cyclic)

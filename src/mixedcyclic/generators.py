@@ -18,6 +18,12 @@ compatibility conditions.  The validator checks, with witnesses:
 where h_{ij} is the cofactor with a_{ij}*h_{ij} = x^alpha_i - 1, and d_i
 is the witness produced by (iii).
 
+validate_generators is the one pass that computes witnesses.  Its report
+carries, next to the condition entries, the Cofactors (h, m, d and the
+spanning-set row counts) that the spanning set and the count formula are
+built from; derive_cofactors is the same pass for callers that only want
+the cofactors, and raises NotADivisor where one is missing.
+
 Divisibility over Z/2^k is witness-based.  A unit-leading divisor gets the
 plain division algorithm (unique quotient); otherwise, or when plain
 division leaves a remainder, a witness is sought in the cyclic quotient
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .codespace import PolyTuple, from_polys
 from .modring import Poly, divides_witness, poly_divmod_unit_lead
 
 
@@ -120,8 +127,6 @@ class StructuredGenerators:
 
     def generator_tuple(self, i):
         """Generator i as a polynomial tuple of the ambient module."""
-        from .codespace import PolyTuple
-
         polys = []
         for c in range(1, self.profile.n + 1):
             if c < i:
@@ -134,8 +139,6 @@ class StructuredGenerators:
         return PolyTuple(self.profile, tuple(polys))
 
     def generator_codeword(self, i):
-        from .codespace import from_polys
-
         return from_polys(self.generator_tuple(i))
 
     def generator_codewords(self):
@@ -213,53 +216,6 @@ class Cofactors:
     warnings: tuple = field(default_factory=tuple)
 
 
-def derive_cofactors(g: StructuredGenerators) -> Cofactors:
-    """All cofactors for a generator family; raises NotADivisor on a gap."""
-    profile = g.profile
-    h, m, d = {}, {}, {}
-    h_rows, m_rows = {}, {}
-    warnings = []
-
-    for i in profile.levels():
-        alpha = profile.alpha(i)
-        for j in range(i):
-            a = g.a(i, j)
-            hij = _derive_h(a, alpha)
-            if hij is None:
-                raise NotADivisor(i, j, "a | x^alpha - 1")
-            h[(i, j)] = hij
-            h_rows[(i, j)] = alpha - a.degree()
-        for j in range(1, i):
-            a = g.a(i, j)
-            target = g.a(i, j - 1)
-            mij = _divide_element(a, target, alpha)
-            if mij is None:
-                raise NotADivisor(i, j, "a_{ij} | a_{i,j-1}")
-            m[(i, j)] = mij
-            diff = target.degree() - a.degree()
-            if diff < 0:
-                warnings.append(
-                    {"code": "clamped_block", "level": i, "index": j,
-                     "detail": f"formal degree difference {diff} clamped to 0"}
-                )
-                diff = 0
-            m_rows[(i, j)] = diff
-
-    for i in range(1, profile.n):
-        rhs = h[(i + 1, i)].at_level(i) * g.l(i + 1, i).at_level(i)
-        di = _divide_element(g.a_total(i), rhs, profile.alpha(i))
-        if di is None:
-            raise NotADivisor(i, None, "a_i | h_{i+1,i} * l_{i+1,i}")
-        d[i] = di
-
-    for (i, j) in g.unit_layers():
-        warnings.append(
-            {"code": "unit_layer", "level": i, "index": j,
-             "detail": "layer is a unit polynomial; row counts follow formal degrees"}
-        )
-    return Cofactors(h, m, d, h_rows, m_rows, tuple(warnings))
-
-
 @dataclass(frozen=True)
 class ConditionEntry:
     condition: str  # "i" | "ii" | "iii" | "iv"
@@ -280,10 +236,22 @@ class ValidationReport:
     profile_nonstandard: bool
     warnings: tuple
     notes: tuple = field(default_factory=tuple)
+    cofactors: Cofactors | None = None  # None iff cofactor_gap is set
+    cofactor_gap: tuple | None = None  # (level, index, role) of the first missing cofactor
 
     @property
     def passed(self):
         return all(e.passed for e in self.entries)
+
+    def require_cofactors(self):
+        """The cofactors, or NotADivisor at the first gap.
+
+        Gaps are ordered level by level (the h_{ij}, then the m_{ij}),
+        then the d_i.  A failed condition (ii) or (iv) leaves no gap.
+        """
+        if self.cofactor_gap is not None:
+            raise NotADivisor(*self.cofactor_gap)
+        return self.cofactors
 
     def failing_conditions(self):
         return sorted({e.condition for e in self.entries if not e.passed})
@@ -312,38 +280,52 @@ class ValidationReport:
         }
 
 
-def _fmt(p):
-    return str(p)
+def _entry(condition, level, index, note, name, witness):
+    """A condition entry that passes iff its witness exists, and quotes it."""
+    if witness is not None:
+        note += f": {name} = {witness}"
+    return ConditionEntry(condition, level, index, witness is not None, note)
 
 
 def validate_generators(g: StructuredGenerators, extend_iv=False) -> ValidationReport:
-    """Check conditions (i)-(iv) with witnesses; failures become entries."""
-    profile = g.profile
-    entries = []
-    notes = []
-    warnings = []
-    h = {}
-    d = {}
+    """Check conditions (i)-(iv) with witnesses; failures become entries.
 
-    # (i): the divisibility chain per level, outermost link first
+    The same pass derives every cofactor and returns them as
+    report.cofactors.  The conditions never consult h_{ij} for
+    0 < j < i-1, so a family can pass while one of those is missing; the
+    report then carries the first gap instead (see require_cofactors).
+    """
+    profile = g.profile
+    entries, notes, warnings, cofactor_warnings, gaps = [], [], [], [], []
+    h, m, d, h_rows, m_rows = {}, {}, {}, {}, {}
+
+    # (i): per level, the annihilator cofactors h_{ij} (h_{i0} closes the
+    # chain) and each link a_{ij} | a_{i,j-1} with its witness m_{ij}
     for i in profile.levels():
         alpha = profile.alpha(i)
-        for j in range(i - 1, 0, -1):
-            w = _divide_element(g.a(i, j), g.a(i, j - 1), alpha)
-            entries.append(ConditionEntry(
-                "i", i, j, w is not None,
-                f"a[{i}][{j}] | a[{i}][{j - 1}]"
-                + (f": m = {_fmt(w)}" if w is not None else "")))
-        w = _derive_h(g.a(i, 0), alpha)
-        if w is not None:
-            h[(i, 0)] = w
-        entries.append(ConditionEntry(
-            "i", i, 0, w is not None,
-            f"a[{i}][0] | x^{alpha}-1" + (f": h = {_fmt(w)}" if w is not None else "")))
-        for j in range(1, i):
-            w = _derive_h(g.a(i, j), alpha)
-            if w is not None:
+        for j in range(i):
+            a = g.a(i, j)
+            h_rows[(i, j)] = alpha - a.degree()
+            w = _derive_h(a, alpha)
+            if w is None:
+                gaps.append((i, j, "a | x^alpha - 1"))
+            else:
                 h[(i, j)] = w
+        entries.append(_entry("i", i, 0, f"a[{i}][0] | x^{alpha}-1", "h", h.get((i, 0))))
+        for j in range(1, i):
+            a, target = g.a(i, j), g.a(i, j - 1)
+            w = _divide_element(a, target, alpha)
+            if w is None:
+                gaps.append((i, j, "a_{ij} | a_{i,j-1}"))
+            else:
+                m[(i, j)] = w
+            entries.append(_entry("i", i, j, f"a[{i}][{j}] | a[{i}][{j - 1}]", "m", w))
+            diff = target.degree() - a.degree()
+            if diff < 0:
+                cofactor_warnings.append(
+                    {"code": "clamped_block", "level": i, "index": j,
+                     "detail": f"formal degree difference {diff} clamped to 0"})
+            m_rows[(i, j)] = max(diff, 0)
 
     # (ii): degree bounds on the first and last mixing polynomial
     # (the two clauses coincide at i = 1, so emit that check once)
@@ -372,12 +354,11 @@ def validate_generators(g: StructuredGenerators, extend_iv=False) -> ValidationR
             continue
         rhs = hi.at_level(i) * g.l(i + 1, i).at_level(i)
         w = _divide_element(g.a_total(i), rhs, profile.alpha(i))
-        if w is not None:
+        if w is None:
+            gaps.append((i, None, "a_i | h_{i+1,i} * l_{i+1,i}"))
+        else:
             d[i] = w
-        entries.append(ConditionEntry(
-            "iii", i, None, w is not None,
-            f"a_{i} | h[{i + 1}][{i}]*l[{i + 1}][{i}]"
-            + (f": d = {_fmt(w)}" if w is not None else "")))
+        entries.append(_entry("iii", i, None, f"a_{i} | h[{i + 1}][{i}]*l[{i + 1}][{i}]", "d", w))
 
     # (iv): adjacent compatibility through d_i, for i = 2..n-1 as printed
     for i in range(2, profile.n):
@@ -390,10 +371,9 @@ def validate_generators(g: StructuredGenerators, extend_iv=False) -> ValidationR
         bracket = (d[i].at_level(k) * g.l(i, i - 1).at_level(k)
                    - hi.at_level(k) * g.l(i + 1, i - 1).at_level(k))
         w = _divide_element(g.a_total(k), bracket, profile.alpha(k))
-        entries.append(ConditionEntry(
-            "iv", i, None, w is not None,
-            f"a_{k} | d_{i}*l[{i}][{i - 1}] - h[{i + 1}][{i}]*l[{i + 1}][{i - 1}]"
-            + (f": witness = {_fmt(w)}" if w is not None else "")))
+        entries.append(_entry(
+            "iv", i, None,
+            f"a_{k} | d_{i}*l[{i}][{i - 1}] - h[{i + 1}][{i}]*l[{i + 1}][{i - 1}]", "witness", w))
     if extend_iv:
         notes.append(
             f"condition (iv) extension to i={profile.n} is vacuous: "
@@ -404,12 +384,24 @@ def validate_generators(g: StructuredGenerators, extend_iv=False) -> ValidationR
         warnings.append({"code": "nonstandard_profile",
                          "detail": "gcd(i, alpha_i) = 1 fails at some level"})
     for (i, j) in g.unit_layers():
-        warnings.append(
-            {"code": "unit_layer", "level": i, "index": j,
-             "detail": "layer is a unit polynomial; row counts follow formal degrees"})
+        unit = {"code": "unit_layer", "level": i, "index": j,
+                "detail": "layer is a unit polynomial; row counts follow formal degrees"}
+        warnings.append(unit)
+        cofactor_warnings.append(dict(unit))
 
     entries.sort(key=lambda e: (e.condition, e.level, -1 if e.index is None else e.index))
-    return ValidationReport(tuple(entries), profile.nonstandard, tuple(warnings), tuple(notes))
+    cofactors = None if gaps else Cofactors(h, m, d, h_rows, m_rows, tuple(cofactor_warnings))
+    return ValidationReport(tuple(entries), profile.nonstandard, tuple(warnings), tuple(notes),
+                            cofactors, gaps[0] if gaps else None)
+
+
+def derive_cofactors(g: StructuredGenerators) -> Cofactors:
+    """All cofactors for a generator family; raises NotADivisor on a gap.
+
+    The validation pass with the report dropped: for callers that need
+    the witnesses but not the condition verdicts.
+    """
+    return validate_generators(g).require_cofactors()
 
 
 def mixing_certificates(g: StructuredGenerators, c: Cofactors, i: int):

@@ -141,10 +141,6 @@ class Poly:
         return " + ".join(terms)
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
 def poly_mul(p: Poly, q: Poly, alpha: int | None = None) -> Poly:
     """Product in Z/2^k[x], reduced via x^alpha = 1 when alpha is given."""
     r = p * q

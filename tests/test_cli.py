@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from mixedcyclic.cli import SchemaError, build_parser, dispatch, load_code_spec
+from mixedcyclic.cli import SchemaError, build_parser, dispatch, load_code_spec, main
 from mixedcyclic.modring import Poly
 
 DOCS = "demos/codes"
@@ -227,3 +228,74 @@ def test_json_report_on_validation_failure(tmp_path):
     assert payload["validation"]["overall"] is False
     failing = [e for e in payload["validation"]["entries"] if not e["passed"]]
     assert failing and all(e["condition"] == "i" for e in failing)
+
+
+def test_schema_rejects_booleans_for_n_and_alphas(tmp_path, capsys):
+    # JSON true loads as a Python bool, which is an int
+    with pytest.raises(SchemaError, match="^n: "):
+        load_code_spec('{"n": true, "alphas": [true], "a": [[[1, 1]]]}')
+    with pytest.raises(SchemaError, match=r"^alphas\[0\]: "):
+        load_code_spec('{"n": 1, "alphas": [true], "a": [[[1, 1]]]}')
+    doc = tmp_path / "bool.json"
+    doc.write_text('{"n": true, "alphas": [true], "a": [[[1, 1]]]}')
+    assert main(["validate", str(doc)]) == 2
+    assert "error: n: must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_below_one_is_a_parse_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["enum", f"{DOCS}/toy_n2.json", "--threads", value])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+WITNESS_FUNCTIONS = ("poly_divmod_unit_lead", "divides_witness", "solve_linear_mod2k")
+
+
+def witness_calls(monkeypatch, *argv):
+    """Witness-function calls made by one command, counted at every binding."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as mp:
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("mixedcyclic"):
+                for name in WITNESS_FUNCTIONS:
+                    if name in vars(module):
+                        mp.setattr(module, name, counted(name, vars(module)[name]))
+        _, _, code = parse_and_dispatch(*argv)
+    assert code == 0
+    return calls
+
+
+def test_count_derives_the_witnesses_once(monkeypatch):
+    doc = f"{DOCS}/three_level_855.json"
+    validate = witness_calls(monkeypatch, "validate", doc)
+    assert all(validate[name] for name in WITNESS_FUNCTIONS), validate
+    count = witness_calls(monkeypatch, "count", doc)
+    for name in WITNESS_FUNCTIONS:
+        assert count[name] <= validate[name], (name, count, validate)
+
+
+def test_family_that_passes_without_all_cofactors(tmp_path, capsys):
+    # h_31 does not exist, but no condition consults it
+    doc = tmp_path / "gap.json"
+    doc.write_text(json.dumps({
+        "n": 3, "alphas": [1, 1, 4],
+        "a": [[[1, 1]], [[3, 1], [1]], [[0, 4, 2], [2, 1], [1]]],
+        "l": [[[0]], [[0], [0]]],
+    }))
+    for command in ("validate", "dual"):
+        assert main([command, str(doc)]) == 0, command
+    capsys.readouterr()
+    for command in ("count", "span", "cofactors"):
+        assert main([command, str(doc)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: not a divisor: a | x^alpha - 1 at (i=3, j=1)" in captured.err

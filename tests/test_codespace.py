@@ -1,5 +1,6 @@
 """Ambient module: profiles, codewords, shift, scalar action, bijection."""
 
+import os
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from mixedcyclic.codespace import (
     all_codewords,
     cyclic_shift,
     from_polys,
+    partition_range,
     scalar_action,
     to_polys,
 )
@@ -134,3 +136,21 @@ def test_scalar_action_is_a_module_action():
 def test_space_size_exponent():
     assert AlphabetProfile((2, 3)).space_size_exponent() == 8
     assert AlphabetProfile((8, 5, 5)).space_size_exponent() == 8 + 10 + 15
+
+
+def test_partition_range_chunks_are_contiguous_and_ordered(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert partition_range(10, 3) == [(0, 4), (4, 8), (8, 10)]
+    assert partition_range(10, 1) == [(0, 10)]
+    assert partition_range(3, 4) == [(0, 1), (1, 2), (2, 3)]
+    assert partition_range(0, 2) == []
+
+
+def test_partition_range_clamps_workers_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # a huge request still yields one chunk per core, so a scan built on
+    # it never asks the pool for more threads than that
+    chunks = partition_range(1 << 16, 1_000_000)
+    assert chunks == [(0, 1 << 15), (1 << 15, 1 << 16)]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert partition_range(1 << 16, 8) == [(0, 1 << 16)]

@@ -203,3 +203,36 @@ def test_mixing_certificates_zero_mixing(tower111):
         f = mixing_certificates(tower111, c, i)
         assert all(p.is_zero() for p in f.values())
         assert mixing_identity_holds(tower111, c, i, f)
+
+
+def test_validation_pass_carries_the_cofactors(binary7, toy2, example855, tower111):
+    for g in (binary7, toy2, example855, tower111):
+        report = validate_generators(g)
+        assert report.cofactors is not None and report.cofactor_gap is None
+        assert report.cofactors == derive_cofactors(g)
+        assert report.require_cofactors() is report.cofactors
+
+
+def test_validation_pass_records_the_first_cofactor_gap():
+    # h_31 is never consulted by conditions (i)-(iv): the family passes,
+    # but its cofactors do not exist
+    g = make_generators([1, 1, 4],
+                        [[[1, 1]], [[3, 1], [1]], [[0, 4, 2], [2, 1], [1]]],
+                        [[[0]], [[0], [0]]])
+    report = validate_generators(g)
+    assert report.passed
+    assert report.cofactors is None
+    assert report.cofactor_gap == (3, 1, "a | x^alpha - 1")
+    with pytest.raises(NotADivisor) as err:
+        derive_cofactors(g)
+    assert (err.value.level, err.value.index, err.value.role) == report.cofactor_gap
+    assert str(err.value) == "not a divisor: a | x^alpha - 1 at (i=3, j=1)"
+
+
+def test_failed_chain_is_a_gap_in_the_same_pass():
+    g = make_generators([8], [[[1, 1, 1]]], [])
+    report = validate_generators(g)
+    assert not report.passed and report.cofactors is None
+    with pytest.raises(NotADivisor) as err:
+        report.require_cofactors()
+    assert (err.value.level, err.value.index) == (1, 0)

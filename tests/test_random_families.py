@@ -117,3 +117,12 @@ def test_random_families_certify_against_closure():
         certified += 1
     assert accepted == 60
     assert certified >= 30
+
+
+def test_random_families_validation_pass_carries_the_cofactors():
+    rng = random.Random(20240817)
+    for _ in range(60):
+        g = _random_family(rng)
+        report = validate_generators(g)
+        assert report.cofactors is not None, report.cofactor_gap
+        assert report.cofactors == derive_cofactors(g)
