@@ -12,14 +12,17 @@ Code documents are JSON with ascending-power coefficient arrays:
      "l": [[[1,1]], [[1,1],[0,3]]]}
 
 Out-of-range coefficients are schema errors, never silently reduced.
-Stdout is deterministic for identical invocations (wall time goes to
-stderr); exit codes are 0 on success, 1 on validation failure, 2 on
-budget or schema errors.
+Every command but gray checks the generator conditions (i)-(iv) first,
+once; a family that fails them gets its validation report printed, and
+exit code 1, whatever the command.  Stdout is deterministic for
+identical invocations (wall time goes to stderr); exit codes are 0 on
+success, 1 on validation failure, 2 on budget or schema errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -41,7 +44,6 @@ from .spanning import (
     matrix_to_csv,
     matrix_to_json_payload,
     parse_matrix_csv,
-    span_size,
 )
 
 DEFAULT_ENUM_BUDGET = 1 << 16
@@ -151,60 +153,41 @@ def load_code_spec(text: str) -> StructuredGenerators:
         raise SchemaError(str(err)) from err
 
 
-class ValidationFailure(Exception):
-    def __init__(self, report):
-        self.report = report
-        super().__init__("generator family fails validation")
+def _enumerable(gens, report, args):
+    """The spanning set and t, its stream being 2^t long, within --budget-enum."""
+    c = report.require_cofactors()
+    t = codeword_count_exponent(c)
+    if 1 << t > args.budget_enum:
+        raise BudgetExceeded(f"2^{t} combinations, budget {args.budget_enum}")
+    return build_spanning_set(gens, c), t
 
 
-def _validated(gens):
-    report = validate_generators(gens)
-    if not report.passed:
-        raise ValidationFailure(report)
-    return report
-
-
-def _spanning(gens):
-    c = _validated(gens).require_cofactors()
-    return c, build_spanning_set(gens, c)
-
-
-def _enumerable(gens, args):
-    """The spanning set and its enumeration length, within --budget-enum."""
-    c, s = _spanning(gens)
-    total = span_size(s)
-    if total > args.budget_enum:
-        raise BudgetExceeded(f"2^{codeword_count_exponent(c)} combinations, "
-                             f"budget {args.budget_enum}")
-    return c, s, total
-
-
-def _scan_code(gens, args, work):
+def _scan_code(gens, report, args, work):
     """Map work over contiguous ranges of the enumeration, one per worker;
     the parts come back in range order."""
-    c, s, total = _enumerable(gens, args)
+    s, t = _enumerable(gens, report, args)
 
     def run(rng):
         return work(iter_codeword_range(s, *rng))
 
-    chunks = partition_range(total, args.threads)
+    chunks = partition_range(1 << t, args.threads)
     if len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(run, chunks))
     else:
         parts = [run(rng) for rng in chunks]
-    return c, s, total, parts
+    return s, t, parts
 
 
-def _cmd_validate(gens, args):
-    report = validate_generators(gens, extend_iv=args.extend_iv)
-    payload = report.to_payload()
-    lines = report.to_lines()
-    return payload, lines, [dict(w) for w in report.warnings], not report.passed
+# Each handler gets the family and its passing validation report and
+# returns (payload, output lines, warnings).
+
+def _cmd_validate(gens, report, args):
+    return report.to_payload(), report.to_lines(), report.warnings
 
 
-def _cmd_cofactors(gens, args):
-    c = _validated(gens).require_cofactors()
+def _cmd_cofactors(gens, report, args):
+    c = report.require_cofactors()
     lines = []
     payload = {"h": [], "m": [], "d": []}
     for name, table, rows in (("h", c.h, c.h_rows), ("m", c.m, c.m_rows)):
@@ -215,11 +198,11 @@ def _cmd_cofactors(gens, args):
     for i, p in sorted(c.d.items()):
         lines.append(f"d[{i}] = {p}")
         payload["d"].append({"level": i, "poly": list(p.coeffs)})
-    return payload, lines, [dict(w) for w in c.warnings], False
+    return payload, lines, c.warnings
 
 
-def _cmd_span(gens, args):
-    _, s = _spanning(gens)
+def _cmd_span(gens, report, args):
+    s = build_spanning_set(gens, report.require_cofactors())
     lines = [f"rows={len(s.rows)}"]
     for (i, j, k), row in s.rows:
         lines.append(f"{i},{j},{k}: {row.to_text()}")
@@ -233,15 +216,14 @@ def _cmd_span(gens, args):
             for (i, j, k), row in s.rows
         ],
     }
-    return payload, lines, [dict(w) for w in s.warnings], False
+    return payload, lines, s.warnings
 
 
-def _cmd_matrix(gens, args):
-    _, s = _spanning(gens)
-    warnings = [dict(w) for w in s.warnings]
+def _cmd_matrix(gens, report, args):
+    s = build_spanning_set(gens, report.require_cofactors())
     payload = matrix_to_json_payload(s)
     if args.format == "json" and not args.diff:
-        return payload, [json.dumps(payload, sort_keys=True, indent=2)], warnings, False
+        return payload, [json.dumps(payload, sort_keys=True, indent=2)], s.warnings
     lines = [matrix_to_csv(s)] if s.rows else []
     if args.diff:
         with open(args.diff) as fh:
@@ -259,34 +241,32 @@ def _cmd_matrix(gens, args):
             lab = ",".join(str(x) for x in d["label"])
             kind = "zero row" if d["zero_row"] else "row"
             lines.append(f"# produced {kind} {lab} absent from reference")
-    return payload, lines, warnings, False
+    return payload, lines, s.warnings
 
 
-def _cmd_enum(gens, args):
-    c, s, total, parts = _scan_code(
-        gens, args, lambda words: [w.to_text() for w in words])
+def _cmd_enum(gens, report, args):
+    s, t, parts = _scan_code(
+        gens, report, args, lambda words: [w.to_text() for w in words])
     lines = [line for part in parts for line in part]
     distinct = len(set(lines))
-    expected = codeword_count_exponent(c)
-    warnings = [dict(w) for w in s.warnings]
-    if distinct != 1 << expected:
+    warnings = list(s.warnings)
+    if distinct != 1 << t:
         warnings.append({
             "code": "minimality_violation",
-            "detail": f"distinct {distinct} != 2^{expected}"})
-    lines.append(f"# distinct={distinct} stream={total}")
-    payload = {"distinct": distinct, "stream": total, "exponent": expected}
-    return payload, lines, warnings, False
+            "detail": f"distinct {distinct} != 2^{t}"})
+    lines.append(f"# distinct={distinct} stream={1 << t}")
+    payload = {"distinct": distinct, "stream": 1 << t, "exponent": t}
+    return payload, lines, warnings
 
 
-def _cmd_count(gens, args):
-    c = _validated(gens).require_cofactors()
+def _cmd_count(gens, report, args):
+    c = report.require_cofactors()
     t = codeword_count_exponent(c)
-    lines = [f"t={t}, |C|={1 << t}"]
-    return {"exponent": t, "count": 1 << t}, lines, [dict(w) for w in c.warnings], False
+    return {"exponent": t, "count": 1 << t}, [f"t={t}, |C|={1 << t}"], c.warnings
 
 
-def _cmd_mindist(gens, args):
-    _, s, total, parts = _scan_code(gens, args, weight_distribution)
+def _cmd_mindist(gens, report, args):
+    s, t, parts = _scan_code(gens, report, args, weight_distribution)
     dist = merge_distributions(parts)
     best = min((wt for wt in dist if wt), default=None)
     lines = ["d=undefined (no nonzero codeword)" if best is None else f"d={best}"]
@@ -296,12 +276,11 @@ def _cmd_mindist(gens, args):
             lines.append(f"{wt},{dist[wt]}")
     payload = {"min_distance": best,
                "distribution": {str(wt): dist[wt] for wt in sorted(dist)},
-               "stream": total}
-    return payload, lines, [dict(w) for w in s.warnings], False
+               "stream": 1 << t}
+    return payload, lines, s.warnings
 
 
-def _cmd_dual(gens, args):
-    _validated(gens)
+def _cmd_dual(gens, report, args):
     res = brute_force_dual(gens.generator_codewords(), gens.profile,
                            budget=args.budget_space, threads=args.threads)
     lines = [f"dual_count={res.dual_count}",
@@ -309,13 +288,13 @@ def _cmd_dual(gens, args):
     lines.extend(w.to_text() for w in res.dual_codewords)
     payload = {"dual_count": res.dual_count, "cyclic": res.cyclic_flag,
                "dual": [w.to_text() for w in res.dual_codewords]}
-    return payload, lines, [], False
+    return payload, lines, []
 
 
-def _cmd_oracle_check(gens, args):
+def _cmd_oracle_check(gens, report, args):
     # sequential: threads only slow this scan down, the closure dominates
-    _, s, total = _enumerable(gens, args)
-    enumerated = {w.flat() for w in iter_codeword_range(s, 0, total)}
+    s, t = _enumerable(gens, report, args)
+    enumerated = {w.flat() for w in iter_codeword_range(s, 0, 1 << t)}
     oracle = module_closure(gens.generator_codewords(), budget=args.budget_enum)
     if not oracle.saturated:
         raise BudgetExceeded("module closure exceeded the enumeration budget")
@@ -326,49 +305,42 @@ def _cmd_oracle_check(gens, args):
     payload = {"equal": equal, "enumerated": len(enumerated), "closure": len(oracle)}
     warnings = [] if equal else [{"code": "oracle_mismatch",
                                   "detail": "enumeration differs from module closure"}]
-    return payload, lines, warnings, False
+    return payload, lines, warnings
 
 
 def _cmd_gray(args):
     bits = gray_map(args.value, args.level)
     text = "".join(str(b) for b in bits)
-    return {"level": args.level, "value": args.value, "bits": text}, [text], [], False
-
-
-_FILE_COMMANDS = {
-    "validate": _cmd_validate,
-    "cofactors": _cmd_cofactors,
-    "span": _cmd_span,
-    "matrix": _cmd_matrix,
-    "enum": _cmd_enum,
-    "count": _cmd_count,
-    "mindist": _cmd_mindist,
-    "dual": _cmd_dual,
-    "oracle-check": _cmd_oracle_check,
-}
+    return {"level": args.level, "value": args.value, "bits": text}, [text], []
 
 
 def dispatch(command, args) -> tuple[RunReport, list, int]:
-    """Run one command; returns (report, output lines, exit code)."""
+    """Run one command; returns (report, output lines, exit code).
+
+    Every command but gray validates the family once, here.  A family
+    that fails prints its validation report and exits 1, whatever the
+    command; otherwise the command's handler runs on the passed report.
+    """
     start = time.perf_counter()
+    code = 0
     if command == "gray":
         digest = hashlib.sha256(f"gray:{args.level}:{args.value}".encode()).hexdigest()
-        payload, lines, warnings, failed = _cmd_gray(args)
+        payload, lines, warnings = _cmd_gray(args)
     else:
         with open(args.document) as fh:
             text = fh.read()
         digest = hashlib.sha256(text.encode()).hexdigest()
         gens = load_code_spec(text)
-        try:
-            payload, lines, warnings, failed = _FILE_COMMANDS[command](gens, args)
-        except ValidationFailure as err:
-            payload = {"validation": err.report.to_payload()}
-            lines = err.report.to_lines()
-            warnings = [dict(w) for w in err.report.warnings]
-            failed = True
-    report = RunReport(command, digest, payload, warnings,
-                       time.perf_counter() - start)
-    return report, lines, 1 if failed else 0
+        report = validate_generators(gens, extend_iv=getattr(args, "extend_iv", False))
+        if report.passed:
+            payload, lines, warnings = args.handler(gens, report, args)
+        else:
+            code = 1
+            payload, lines, warnings = _cmd_validate(gens, report, args)
+            if args.handler is not _cmd_validate:  # the other commands nest the report
+                payload = {"validation": payload}
+    return (RunReport(command, digest, payload, [dict(w) for w in warnings],
+                      time.perf_counter() - start), lines, code)
 
 
 def _positive_int(text):
@@ -378,15 +350,18 @@ def _positive_int(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on first use and shared afterwards."""
     parser = argparse.ArgumentParser(
         prog="mixedcyclic",
         description="additive cyclic codes over Z2 x Z4 x ... x Z2^n")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, document=True):
-        if document:
-            p.add_argument("document", help="JSON code document")
+    def command(name, handler, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        p.add_argument("document", help="JSON code document")
         p.add_argument("--json", action="store_true",
                        help="emit the full run report as JSON")
         p.add_argument("--threads", type=_positive_int, default=1,
@@ -395,25 +370,25 @@ def build_parser():
                        help="max enumerated codewords")
         p.add_argument("--budget-space", type=int, default=DEFAULT_SPACE_BUDGET,
                        help="max ambient-space scan size")
+        return p
 
-    p = sub.add_parser("validate", help="check the generator conditions")
-    common(p)
+    p = command("validate", _cmd_validate, help="check the generator conditions")
     p.add_argument("--extend-iv", action="store_true",
                    help="note the (vacuous) extension of condition (iv) to i=n")
-    for name in ("cofactors", "span", "count", "dual", "oracle-check"):
-        common(sub.add_parser(name))
-    p = sub.add_parser("matrix", help="emit the generator matrix")
-    common(p)
+    for name, handler in (("cofactors", _cmd_cofactors), ("span", _cmd_span),
+                          ("count", _cmd_count), ("dual", _cmd_dual),
+                          ("oracle-check", _cmd_oracle_check)):
+        command(name, handler)
+    p = command("matrix", _cmd_matrix, help="emit the generator matrix")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--diff", metavar="REFERENCE.csv",
                    help="structured diff against a reference matrix")
-    common(sub.add_parser("enum", help="stream all codewords"))
-    p = sub.add_parser("mindist", help="exhaustive minimum distance")
-    common(p)
+    command("enum", _cmd_enum, help="stream all codewords")
+    p = command("mindist", _cmd_mindist, help="exhaustive minimum distance")
     p.add_argument("--distribution", action="store_true",
                    help="also print the weight distribution CSV")
     p = sub.add_parser("gray", help="Gray image of one residue")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_positive_int, required=True)
     p.add_argument("--value", type=int, required=True)
     p.add_argument("--json", action="store_true")
     return parser

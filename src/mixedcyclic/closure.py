@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codespace import Codeword, cyclic_shift
+from .codespace import Codeword, cyclic_shift, from_flat
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,7 @@ class ClosureResult:
     def codewords(self):
         """Members as Codewords in canonical lexicographic order."""
         for flat in sorted(self.elements):
-            yield self._unflatten(flat)
-
-    def _unflatten(self, flat):
-        comps = []
-        pos = 0
-        for a in self.profile.alphas:
-            comps.append(flat[pos : pos + a])
-            pos += a
-        return Codeword(self.profile, tuple(comps))
+            yield from_flat(self.profile, flat)
 
 
 def module_closure(seeds, budget=1 << 20) -> ClosureResult:

@@ -79,6 +79,8 @@ class Codeword:
     components: tuple
 
     def __post_init__(self):
+        if len(self.components) != self.profile.n:
+            raise ValueError("component count must equal n")
         comps = []
         for i, block in enumerate(self.components, start=1):
             mod = 1 << i
@@ -86,8 +88,6 @@ class Codeword:
             if len(block) != self.profile.alpha(i):
                 raise ValueError(f"block {i} must have length {self.profile.alpha(i)}")
             comps.append(block)
-        if len(comps) != self.profile.n:
-            raise ValueError("component count must equal n")
         object.__setattr__(self, "components", tuple(comps))
 
     @classmethod
@@ -193,7 +193,8 @@ def _coordinate_moduli(profile):
     return out
 
 
-def _from_flat(profile, flat):
+def from_flat(profile, flat):
+    """The codeword whose coordinates, in block order, are flat (inverse of flat())."""
     comps = []
     pos = 0
     for a in profile.alphas:
@@ -204,11 +205,7 @@ def _from_flat(profile, flat):
 
 def all_codewords(profile):
     """Iterate the whole ambient module in canonical lexicographic order."""
-    import itertools
-
-    ranges = [range(m) for m in _coordinate_moduli(profile)]
-    for flat in itertools.product(*ranges):
-        yield _from_flat(profile, flat)
+    return iter_space_range(profile, 0, 1 << profile.space_size_exponent())
 
 
 def partition_range(total, workers):
@@ -227,8 +224,8 @@ def partition_range(total, workers):
 def iter_space_range(profile, start, stop):
     """Positions [start, stop) of the canonical ambient-module order.
 
-    The order treats the first coordinate as most significant, matching
-    all_codewords, so contiguous index ranges are coordinate-prefix
+    The order treats the first coordinate as most significant (the whole
+    range is all_codewords), so contiguous index ranges are coordinate-prefix
     partitions and concatenating them preserves the canonical order.
     """
     moduli = _coordinate_moduli(profile)
@@ -243,7 +240,7 @@ def iter_space_range(profile, start, stop):
         rem //= m
     flat.reverse()
     for _ in range(start, stop):
-        yield _from_flat(profile, flat)
+        yield from_flat(profile, flat)
         for pos in range(len(flat) - 1, -1, -1):
             flat[pos] += 1
             if flat[pos] < moduli[pos]:

@@ -268,13 +268,19 @@ def matrix_to_json_payload(s: SpanningSet):
 
 
 def parse_matrix_csv(profile, text):
+    """Codeword rows of a reference matrix; blank and # lines are skipped.
+
+    A malformed row raises ValueError naming its line in the file.
+    """
     rows = []
-    for lineno, line in enumerate(text.strip().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        w = Codeword.from_text(profile, line)
-        rows.append(w)
+        try:
+            rows.append(Codeword.from_text(profile, line))
+        except ValueError as err:
+            raise ValueError(f"reference matrix line {lineno}: {err}") from err
     return rows
 
 

@@ -1,5 +1,6 @@
 """CLI: document loading, command outputs, exit codes, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from collections import Counter
 import pytest
 
 from mixedcyclic.cli import SchemaError, build_parser, dispatch, load_code_spec, main
+from mixedcyclic.generators import validate_generators
 from mixedcyclic.modring import Poly
 
 DOCS = "demos/codes"
@@ -299,3 +301,68 @@ def test_family_that_passes_without_all_cofactors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: not a divisor: a | x^alpha - 1 at (i=3, j=1)" in captured.err
+
+
+FILE_COMMANDS = ("validate", "cofactors", "span", "matrix", "enum", "count",
+                 "mindist", "dual", "oracle-check")
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_each_command_validates_once(command, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate_generators(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("mixedcyclic") and "validate_generators" in vars(module):
+            monkeypatch.setattr(module, "validate_generators", counted)
+    assert main([command, f"{DOCS}/toy_n2.json"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_failed_validation_prints_the_report_for_every_command(command, capsys):
+    doc = "tests/data/fails_condition_i.json"
+    assert main(["validate", doc]) == 1
+    report = capsys.readouterr().out
+    assert report.endswith("overall: FAIL\n")
+    assert main([command, doc]) == 1
+    assert capsys.readouterr().out == report
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    assert main(["count", f"{DOCS}/toy_n2.json"]) == 0
+    built = len(progs)
+    assert main(["count", f"{DOCS}/toy_n2.json"]) == 0
+    assert progs.count("mixedcyclic") == 1  # the subcommand parsers are named "mixedcyclic <cmd>"
+    assert len(progs) == built
+
+
+@pytest.mark.parametrize("level", ["0", "-1"])
+def test_gray_level_below_one_is_a_parse_error(level, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gray", "--level", level, "--value", "1"])
+    assert exc.value.code == 2
+    assert "argument --level: must be >= 1" in capsys.readouterr().err
+
+
+def test_malformed_reference_row_names_its_line(tmp_path, capsys):
+    # a valid row, a blank line, a comment, then a row with one block too many
+    ref = tmp_path / "ref.csv"
+    ref.write_text("1,0,1,0,0,0,0,0|0,0,0,0,0|0,0,0,0,0\n\n# note\n"
+                   "1,0,1,0,0,0,0,0|0,0,0,0,0|0,0,0,0,0|1\n")
+    assert main(["matrix", f"{DOCS}/three_level_855.json", "--diff", str(ref)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reference matrix line 4: component count must equal n\n"
