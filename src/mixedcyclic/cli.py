@@ -309,6 +309,9 @@ def _cmd_oracle_check(gens, report, args):
 
 
 def _cmd_gray(args):
+    if 1 << (args.level - 1) > DEFAULT_SPACE_BUDGET:
+        raise BudgetExceeded(f"gray --level {args.level}: the image would have 2^{args.level - 1} "
+                             f"bits, over the budget of {DEFAULT_SPACE_BUDGET} bits")
     bits = gray_map(args.value, args.level)
     text = "".join(str(b) for b in bits)
     return {"level": args.level, "value": args.value, "bits": text}, [text], []
@@ -344,7 +347,10 @@ def dispatch(command, args) -> tuple[RunReport, list, int]:
 
 
 def _positive_int(text):
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value

@@ -24,13 +24,8 @@ spanning-set row counts) that the spanning set and the count formula are
 built from; derive_cofactors is the same pass for callers that only want
 the cofactors, and raises NotADivisor where one is missing.
 
-Divisibility over Z/2^k is witness-based.  A unit-leading divisor gets the
-plain division algorithm (unique quotient); otherwise, or when plain
-division leaves a remainder, a witness is sought in the cyclic quotient
-ring.  The annihilator cofactors h are the one exception: their right-hand
-side x^alpha - 1 is the quotient ring's zero, so falling back there would
-make the check vacuous, and the plain-ring verdict is final for
-unit-leading layers.
+Every witness comes from modring.divides_witness, which owns the division
+policy; see _derive_h for the one plain-ring case.
 
 Non-monic layers are supported and never normalised; layers that are
 units of the polynomial ring (odd constant term, all higher coefficients
@@ -43,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .codespace import PolyTuple, from_polys
-from .modring import Poly, divides_witness, poly_divmod_unit_lead
+from .modring import Poly, divides_witness
 
 
 class NotADivisor(ArithmeticError):
@@ -162,36 +157,15 @@ class StructuredGenerators:
         return out
 
 
-def _divide_element(a: Poly, rhs: Poly, alpha: int):
-    """Witness q with q*a = rhs, plain ring first, quotient ring fallback.
-
-    A unit-leading divisor is tried with plain division (the quotient is
-    then unique); if the remainder is nonzero, or the divisor is not
-    unit-leading, a witness is sought modulo x^alpha - 1.
-    """
-    if rhs.is_zero():
-        return Poly.zero(a.k)
-    if a.has_unit_lead() and rhs.degree() >= a.degree():
-        q, r = poly_divmod_unit_lead(rhs, a)
-        if r.is_zero():
-            return q
-    return divides_witness(a, rhs, alpha=alpha)
-
-
 def _derive_h(a: Poly, alpha: int):
     """Cofactor h with a*h = x^alpha - 1, or None.
 
-    Plain-ring division for unit-leading a (no quotient fallback: the
-    right-hand side is the quotient ring's zero, so the fallback would
-    accept everything); quotient-ring witness otherwise.
+    Plain-ring division for unit-leading a: the right-hand side is the
+    quotient ring's zero, so the quotient-ring fallback would accept
+    everything.  Quotient-ring witness otherwise.
     """
     target = Poly.x_to_alpha_minus_1(alpha, a.k)
-    if a.has_unit_lead():
-        if a.degree() > alpha:
-            return None
-        q, r = poly_divmod_unit_lead(target, a)
-        return q if r.is_zero() else None
-    return divides_witness(a, target, alpha=alpha)
+    return divides_witness(a, target, alpha=None if a.has_unit_lead() else alpha)
 
 
 @dataclass(frozen=True)
@@ -314,7 +288,7 @@ def validate_generators(g: StructuredGenerators, extend_iv=False) -> ValidationR
         entries.append(_entry("i", i, 0, f"a[{i}][0] | x^{alpha}-1", "h", h.get((i, 0))))
         for j in range(1, i):
             a, target = g.a(i, j), g.a(i, j - 1)
-            w = _divide_element(a, target, alpha)
+            w = divides_witness(a, target, alpha)
             if w is None:
                 gaps.append((i, j, "a_{ij} | a_{i,j-1}"))
             else:
@@ -353,7 +327,7 @@ def validate_generators(g: StructuredGenerators, extend_iv=False) -> ValidationR
                 "iii", i, None, False, f"h[{i + 1}][{i}] unavailable (condition (i) failed)"))
             continue
         rhs = hi.at_level(i) * g.l(i + 1, i).at_level(i)
-        w = _divide_element(g.a_total(i), rhs, profile.alpha(i))
+        w = divides_witness(g.a_total(i), rhs, profile.alpha(i))
         if w is None:
             gaps.append((i, None, "a_i | h_{i+1,i} * l_{i+1,i}"))
         else:
@@ -370,7 +344,7 @@ def validate_generators(g: StructuredGenerators, extend_iv=False) -> ValidationR
         k = i - 1
         bracket = (d[i].at_level(k) * g.l(i, i - 1).at_level(k)
                    - hi.at_level(k) * g.l(i + 1, i - 1).at_level(k))
-        w = _divide_element(g.a_total(k), bracket, profile.alpha(k))
+        w = divides_witness(g.a_total(k), bracket, profile.alpha(k))
         entries.append(_entry(
             "iv", i, None,
             f"a_{k} | d_{i}*l[{i}][{i - 1}] - h[{i + 1}][{i}]*l[{i + 1}][{i - 1}]", "witness", w))
@@ -422,7 +396,7 @@ def mixing_certificates(g: StructuredGenerators, c: Cofactors, i: int):
         rhs = g.l(i, j).at_level(j) * h_top.at_level(j)
         for k in range(j + 1, i):
             rhs = rhs - g.l(k, j).at_level(j) * f[k].at_level(j)
-        w = _divide_element(g.a_total(j), rhs, g.profile.alpha(j))
+        w = divides_witness(g.a_total(j), rhs, g.profile.alpha(j))
         if w is None:
             raise MixingSolveError(j, i)
         f[j] = w

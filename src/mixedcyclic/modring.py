@@ -2,9 +2,9 @@
 
 Coefficients are plain Python ints kept reduced into [0, 2^k); the modulus
 exponent k travels with the polynomial.  Z/2^k is a chain ring, not a
-domain, so "f divides g" is decided by solving a linear system for the
-quotient's coefficients rather than by any subtraction scheme; quotients
-are not unique in general and any witness is acceptable.
+domain: "f divides g" is decided by divides_witness, which owns the
+division policy (plain division, then a linear system for the quotient);
+quotients are not unique in general and any witness is acceptable.
 
 Degrees are formal: the leading coefficient may be a zero divisor
 (2x^2 + 3 over Z/4 has degree 2).  The zero polynomial has degree None,
@@ -274,24 +274,29 @@ def solve_linear_mod2k(sys: LinearSystem):
 def divides_witness(f: Poly, g: Poly, alpha: int | None = None):
     """A quotient q with q*f = g in the declared ring, or None.
 
-    With alpha, the ring is Z/2^k[x]/(x^alpha - 1) and q ranges over
-    degrees < alpha.  Without alpha the ring is Z/2^k[x]; the quotient
-    degree is bounded by deg g - deg f for unit-leading f (where q is
-    unique) and by deg g otherwise.  Non-existence is a normal None.
+    With alpha, the ring is Z/2^k[x]/(x^alpha - 1); without, Z/2^k[x].
+    This is the package's one division policy: a zero g returns zero
+    (sparing a zero bracket the alpha x alpha solve); a unit-leading f
+    with deg g >= deg f gets plain division, whose quotient is returned
+    when exact (it is then unique); without alpha a unit-leading f stops
+    there, and otherwise q is solved for as a linear system, with
+    deg q <= deg g in the plain ring and deg q < alpha in the quotient.
     """
     if f.k != g.k:
         raise ModulusMismatch(f"k={f.k} vs k={g.k}")
     k = f.k
+    if g.is_zero():
+        return Poly.zero(k)
+    if f.has_unit_lead():
+        if g.degree() >= f.degree():
+            q, r = poly_divmod_unit_lead(g, f)
+            if r.is_zero():
+                return q
+        if alpha is None:
+            return None
     if alpha is None:
         if f.is_zero():
-            return Poly.zero(k) if g.is_zero() else None
-        if g.is_zero():
-            return Poly.zero(k)
-        if f.has_unit_lead():
-            if g.degree() < f.degree():
-                return None
-            q, r = poly_divmod_unit_lead(g, f)
-            return q if r.is_zero() else None
+            return None
         deg_q = g.degree()
         rows = deg_q + f.degree() + 1
         matrix = [

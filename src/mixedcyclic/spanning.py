@@ -1,13 +1,11 @@
 """Minimal spanning sets, counting, enumeration, membership, matrices.
 
 For a validated generator family the spanning set splits into labelled
-blocks: block (i, 0) holds the shifts x^k * (generator i) for
-k < deg h_{i0}, and block (i, j), j >= 1, holds the shifts of the
-h_{i,j-1}-scaled generator whose level-i entry keeps only the layers
-2^p a_{ip} with p >= j:
-
-    x^k * (l_{i1} h_{i,j-1}, ..., l_{i,i-1} h_{i,j-1},
-           sum_{p=j}^{i-1} 2^p a_{ip} h_{i,j-1}, 0, ..., 0),  k < deg m_{ij}.
+blocks: block (i, 0) holds the shifts x^k * (generator i), k < deg h_{i0},
+and block (i, j), j >= 1, the shifts x^k * (h_{i,j-1} * generator i),
+k < deg m_{ij}, under the module action.  The level-i entry of such a row
+keeps only the layers 2^p a_{ip} with p >= j: a_{i,j-1} divides the lower
+ones by the condition (i) chain, and h_{i,j-1} a_{i,j-1} = x^alpha_i - 1.
 
 Block sizes follow the formal degrees recorded in Cofactors.  Every
 codeword is a combination with block coefficients drawn from Z/2^i for
@@ -25,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codespace import BudgetExceeded, Codeword, cyclic_shift, from_polys
+from .codespace import BudgetExceeded, Codeword, cyclic_shift, from_polys, scalar_action
 from .generators import Cofactors, StructuredGenerators
 from .modring import LinearSystem, Poly, solve_linear_mod2k
 
@@ -48,25 +46,9 @@ class SpanningSet:
 
 
 def _base_row(g: StructuredGenerators, c: Cofactors, i, j):
-    from .codespace import PolyTuple
-
-    profile = g.profile
     if j == 0:
         return g.generator_codeword(i)
-    h = c.h[(i, j - 1)]
-    polys = []
-    for comp in range(1, profile.n + 1):
-        if comp > i:
-            polys.append(Poly.zero(comp))
-            continue
-        if comp < i:
-            p = g.l(i, comp).at_level(comp)
-        else:
-            p = Poly.zero(i)
-            for layer in range(j, i):
-                p = p + g.a(i, layer).scale(1 << layer)
-        polys.append((p * h.at_level(comp)).reduce_cyclic(profile.alpha(comp)))
-    return from_polys(PolyTuple(profile, tuple(polys)))
+    return from_polys(scalar_action(c.h[(i, j - 1)], g.generator_tuple(i)))
 
 
 def build_spanning_set(g: StructuredGenerators, c: Cofactors) -> SpanningSet:
@@ -122,28 +104,31 @@ def span_size(s: SpanningSet) -> int:
 
 def codeword_at_index(s: SpanningSet, index: int) -> Codeword:
     """Random access into the enumeration order (digit 0 varies fastest)."""
-    acc = Codeword.zero(s.profile)
-    for radix, (_, row) in zip(_digit_radices(s), s.rows):
-        index, digit = divmod(index, radix)
-        if digit:
-            acc = acc + row.int_scale(digit)
-    return acc
+    if not 0 <= index < span_size(s):
+        raise IndexError(f"enumeration index {index} outside [0, {span_size(s)})")
+    return next(iter_codeword_range(s, index, index + 1))
 
 
 def iter_codeword_range(s: SpanningSet, start: int, stop: int):
     """Yield enumeration positions [start, stop) in order.
 
-    An odometer over the coefficient digits with a partial-sum stack, so
-    each step costs one row addition instead of a full recombination.
+    An odometer over the coefficient digits with a partial-sum stack and
+    a table multiples[t][d] = d*row_t built by repeated addition, so each
+    step costs one codeword addition and no row is scaled in the loop.
     """
     radices = _digit_radices(s)
-    rows = [row for _, row in s.rows]
     ndig = len(radices)
     zero = Codeword.zero(s.profile)
     if not ndig:
         if start <= 0 < stop:
             yield zero
         return
+    multiples = []
+    for radix, (_, row) in zip(radices, s.rows):
+        table = [zero, row]
+        for _ in range(radix - 2):
+            table.append(table[-1] + row)
+        multiples.append(table)
     digits = []
     rem = start
     for r in radices:
@@ -152,7 +137,7 @@ def iter_codeword_range(s: SpanningSet, start: int, stop: int):
     # sums[t] = contribution of digits t.. end; sums[ndig] = 0
     sums = [zero] * (ndig + 1)
     for t in range(ndig - 1, -1, -1):
-        sums[t] = sums[t + 1] + rows[t].int_scale(digits[t]) if digits[t] else sums[t + 1]
+        sums[t] = sums[t + 1] + multiples[t][digits[t]] if digits[t] else sums[t + 1]
     for _ in range(start, stop):
         yield sums[0]
         t = 0
@@ -162,7 +147,7 @@ def iter_codeword_range(s: SpanningSet, start: int, stop: int):
         if t == ndig:
             return
         digits[t] += 1
-        sums[t] = sums[t + 1] + rows[t].int_scale(digits[t])
+        sums[t] = sums[t + 1] + multiples[t][digits[t]]
         for u in range(t - 1, -1, -1):
             sums[u] = sums[u + 1]
 

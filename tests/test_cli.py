@@ -366,3 +366,24 @@ def test_malformed_reference_row_names_its_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: reference matrix line 4: component count must equal n\n"
+
+
+@pytest.mark.parametrize("level", ["22", "40"])
+def test_gray_level_whose_image_exceeds_the_budget_is_refused(level, capsys):
+    assert main(["gray", "--level", level, "--value", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: gray --level {level}: " in captured.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gray", "--level", "x", "--value", "1"], "--level"),
+    (["enum", f"{DOCS}/toy_n2.json", "--threads", "x"], "--threads"),
+])
+def test_non_integer_count_flag_names_the_flag(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected an integer >= 1, got 'x'" in err
+    assert "_positive_int" not in err

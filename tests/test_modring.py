@@ -209,3 +209,29 @@ def test_solver_rejects_ragged_input():
         LinearSystem(((1, 2), (1,)), (0, 0), 2)
     with pytest.raises(ValueError):
         LinearSystem(((1, 2),), (0, 0), 2)
+
+
+def test_divides_witness_zero_rhs_skips_the_solver(monkeypatch):
+    import mixedcyclic.modring as modring
+
+    def refuse(_system):
+        raise AssertionError("solver called for a zero right-hand side")
+
+    monkeypatch.setattr(modring, "solve_linear_mod2k", refuse)
+    for f in (P([2, 1, 2], 2), P([0, 2], 2), P([3, 0, 1], 2), Poly.zero(2)):
+        for alpha in (None, 3):
+            assert divides_witness(f, Poly.zero(2), alpha) == Poly.zero(2)
+
+
+def test_divides_witness_returns_the_plain_quotient_for_unit_lead():
+    rng = random.Random(5)
+    for _ in range(200):
+        k = rng.randint(1, 3)
+        alpha = rng.randint(2, 5)
+        f = P([rng.randrange(1 << k) for _ in range(rng.randint(0, alpha - 1))]
+              + [rng.randrange(1, 1 << k, 2)], k)
+        g = f * P([rng.randrange(1 << k) for _ in range(rng.randint(1, alpha))], k)
+        q, r = poly_divmod_unit_lead(g, f)
+        assert r.is_zero()
+        for ring in (None, alpha):
+            assert divides_witness(f, g, ring) == q, (f, g, ring)

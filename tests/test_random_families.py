@@ -12,7 +12,7 @@ closure, the count law holds, and membership round-trips.
 import random
 
 from mixedcyclic.closure import module_closure
-from mixedcyclic.codespace import AlphabetProfile, cyclic_shift
+from mixedcyclic.codespace import AlphabetProfile, PolyTuple, cyclic_shift, from_polys
 from mixedcyclic.generators import (
     StructuredGenerators,
     derive_cofactors,
@@ -126,3 +126,35 @@ def test_random_families_validation_pass_carries_the_cofactors():
         report = validate_generators(g)
         assert report.cofactors is not None, report.cofactor_gap
         assert report.cofactors == derive_cofactors(g)
+
+
+def _base_row_with_low_layers_dropped(g, c, i, j):
+    """Row (i, j, 0), j >= 1, written out by hand: h_{i,j-1} times
+    generator i, with the layers 2^p a_{ip}, p < j, left out of entry i."""
+    h = c.h[(i, j - 1)]
+    polys = []
+    for comp in g.profile.levels():
+        if comp > i:
+            p = Poly.zero(comp)
+        elif comp < i:
+            p = g.l(i, comp).at_level(comp)
+        else:
+            p = Poly.zero(i)
+            for layer in range(j, i):
+                p = p + g.a(i, layer).scale(1 << layer)
+        polys.append((p * h.at_level(comp)).reduce_cyclic(g.profile.alpha(comp)))
+    return from_polys(PolyTuple(g.profile, tuple(polys)))
+
+
+def test_base_rows_are_h_times_generator_without_the_low_layers(
+        binary7, toy2, example855, tower111):
+    rng = random.Random(20240817)
+    families = [binary7, toy2, example855, tower111] + [_random_family(rng) for _ in range(60)]
+    checked = 0
+    for g in families:
+        c = derive_cofactors(g)
+        for (i, j, k), row in build_spanning_set(g, c).rows:
+            if j >= 1 and k == 0:
+                assert row == _base_row_with_low_layers_dropped(g, c, i, j), (g, i, j)
+                checked += 1
+    assert checked >= 30

@@ -224,3 +224,31 @@ def test_example855_matrix_diff(example855):
         (1, 0, 5), (2, 1, 0), (2, 1, 1), (3, 1, 0)
     }
     assert all(d["zero_row"] for d in produced_left if d["label"][1] != 0)
+
+
+def test_codeword_at_index_rejects_positions_outside_the_stream(toy2):
+    _, s = spanning_for(toy2)
+    assert span_size(s) == 64
+    assert codeword_at_index(s, 63) == list(enumerate_codewords(s))[63]
+    for idx in (64, 69, -1):
+        with pytest.raises(IndexError):
+            codeword_at_index(s, idx)
+
+
+def test_enumeration_scales_each_row_once(binary7, toy2, tower111, monkeypatch):
+    for g in (binary7, toy2, tower111):
+        _, s = spanning_for(g)
+        built = 0
+        original = Codeword.__post_init__
+
+        def counted(self):
+            nonlocal built
+            built += 1
+            original(self)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Codeword, "__post_init__", counted)
+            total = sum(1 for _ in enumerate_codewords(s))
+        assert total == span_size(s)
+        radices = [1 << s.coeff_bits[(i, j)] for (i, j, _), _ in s.rows]
+        assert built <= total + sum(r - 1 for r in radices), (built, total)
