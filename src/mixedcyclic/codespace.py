@@ -117,10 +117,6 @@ class Codeword:
     def __sub__(self, other):
         return self + (-other)
 
-    def int_scale(self, c):
-        """Integer scalar multiple, reduced per block modulus."""
-        return Codeword(self.profile, tuple(tuple(c * v for v in b) for b in self.components))
-
     def flat(self):
         """All coordinates in block order, as one tuple (the dedup key)."""
         return tuple(c for b in self.components for c in b)

@@ -197,13 +197,7 @@ class LinearSystem:
 
 def _val2(c, k):
     """2-adic valuation inside Z/2^k; k for the zero residue."""
-    if c == 0:
-        return k
-    v = 0
-    while c % 2 == 0:
-        c //= 2
-        v += 1
-    return v
+    return (c & -c).bit_length() - 1 if c else k
 
 
 def solve_linear_mod2k(sys: LinearSystem):
@@ -269,6 +263,45 @@ def solve_linear_mod2k(sys: LinearSystem):
             return None
         x[col] = (residual >> v) % (1 << (k - v)) if v < k else 0
     return x
+
+
+def echelon_mod2k(rows, k):
+    """Strong echelon (Howell) basis of the Z-span of rows over Z/2^k.
+
+    Per column, a row of least valuation v is normalised to lead with 2^v
+    and clears the column; 2^(k-v) times it goes back into the pool.  The
+    (col, v, row) pivots span 2^sum(k - v) words (Storjohann-Mulders 1998).
+    """
+    mod = 1 << k
+    pool = [r for r in ([c % mod for c in row] for row in rows) if any(r)]
+    basis = []
+    for col in range(len(pool[0]) if pool else 0):
+        lead = [(_val2(r[col], k), t) for t, r in enumerate(pool) if r[col]]
+        if not lead:
+            continue
+        v, t = min(lead)
+        inv = pow(pool[t][col] >> v, -1, mod)
+        pivot = [c * inv % mod for c in pool.pop(t)]
+        rest = [[(a - (r[col] >> v) * p) % mod for a, p in zip(r, pivot)] if r[col] else r
+                for r in pool] + [[(c << (k - v)) % mod for c in pivot]]
+        pool = [r for r in rest if any(r)]
+        basis.append((col, v, tuple(pivot)))
+    return basis
+
+
+def echelon_reduce(x, basis, k):
+    """Multipliers c_r < 2^(k - v_r) writing x over an echelon_mod2k basis, or None."""
+    mod = 1 << k
+    x = [c % mod for c in x]
+    coeffs = []
+    for col, v, row in basis:
+        if x[col] % (1 << v):
+            return None
+        q = x[col] >> v
+        coeffs.append(q)
+        if q:
+            x = [(a - q * p) % mod for a, p in zip(x, row)]
+    return None if any(x) else coeffs
 
 
 def divides_witness(f: Poly, g: Poly, alpha: int | None = None):

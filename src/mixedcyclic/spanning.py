@@ -17,15 +17,20 @@ Enumeration walks the coefficient tuples lexicographically with the
 lowest (i, j, k) position varying fastest, so streams are reproducible
 and an index range addresses a contiguous slice (the partition contract
 used for threaded scans).
+
+Membership is exact: these rows can miss part of C (unit layers, even
+leads), so it reduces the word against a strong echelon basis of C.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
-from .codespace import BudgetExceeded, Codeword, cyclic_shift, from_polys, scalar_action
+from .codespace import (BudgetExceeded, Codeword, ProfileMismatch, cyclic_shift, from_flat,
+                        from_polys, scalar_action)
 from .generators import Cofactors, StructuredGenerators
-from .modring import LinearSystem, Poly, solve_linear_mod2k
+from .modring import echelon_mod2k, echelon_reduce
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,21 @@ class SpanningSet:
     rows: tuple  # of (label, Codeword)
     counts: dict  # (i, j) -> row count
     coeff_bits: dict  # (i, j) -> coefficient modulus exponent
+    family: StructuredGenerators
     warnings: tuple = field(default_factory=tuple)
+
+    @functools.cached_property
+    def echelon(self):
+        """Echelon basis of C from the embedded x^k * g_i, k < min(lcm alpha, sum alpha):
+        the shift has order lcm alpha and is killed by prod (x^alpha_i - 1), monic
+        of degree sum alpha, so every later shift is a Z-combination of these."""
+        rows = []
+        shifts = min(self.profile.shift_order(), sum(self.profile.alphas))
+        for w in self.family.generator_codewords():
+            for _ in range(shifts):
+                rows.append(_embed(w))
+                w = cyclic_shift(w)
+        return echelon_mod2k(rows, self.profile.n)
 
     def row_codewords(self):
         return [r for _, r in self.rows]
@@ -77,7 +96,7 @@ def build_spanning_set(g: StructuredGenerators, c: Cofactors) -> SpanningSet:
     for flat, labs in sorted(seen.items()):
         if len(labs) > 1:
             warnings.append({"code": "duplicate_rows", "labels": labs})
-    return SpanningSet(g.profile, tuple(rows), counts, coeff_bits, tuple(warnings))
+    return SpanningSet(g.profile, tuple(rows), counts, coeff_bits, g, tuple(warnings))
 
 
 def codeword_count_exponent(c: Cofactors) -> int:
@@ -170,69 +189,38 @@ def distinct_codewords(s: SpanningSet, budget=1 << 16):
     return seen, total
 
 
+def _scale_shifts(profile):
+    """Per coordinate, the power of 2 that embeds block i into Z/2^n."""
+    return [profile.n - i for i, a in enumerate(profile.alphas, start=1) for _ in range(a)]
+
+
+def _embed(v: Codeword):
+    return [c << e for c, e in zip(v.flat(), _scale_shifts(v.profile))]
+
+
 @dataclass(frozen=True)
 class Decomposition:
-    """Block coefficients e_{ij} with their degree and modulus bounds."""
+    """Multipliers over s.echelon: coeffs[r] < 2^(n - v_r) for pivot r."""
 
-    e: dict  # (i, j) -> Poly over Z/2^i (j = 0) or Z/2^(i-j)
+    coeffs: tuple
 
     def evaluate(self, s: SpanningSet) -> Codeword:
-        acc = Codeword.zero(s.profile)
-        for lab, row in s.rows:
-            i, j, k = lab
-            coeff = self.e[(i, j)].coeff(k)
-            if coeff:
-                acc = acc + row.int_scale(coeff)
-        return acc
+        shifts = _scale_shifts(s.profile)
+        acc = [0] * len(shifts)
+        for c, (_, _, row) in zip(self.coeffs, s.echelon):
+            acc = [a + c * p for a, p in zip(acc, row)]
+        return from_flat(s.profile, [a >> e for a, e in zip(acc, shifts)])  # reduced per block
 
 
 def membership_test(v: Codeword, s: SpanningSet) -> Decomposition | None:
-    """Solve for block coefficients, one component level at a time.
+    """Multipliers writing v over s.echelon, or None when v is not in C.
 
-    Level c only involves blocks (c, j): higher blocks were already fixed
-    and subtracted, lower blocks vanish above their level.  Each level is
-    one linear system mod 2^c; the block coefficients are then reduced
-    into their declared domains (which leaves component c untouched,
-    since block (c, j) rows carry a factor 2^j there) and the full
-    contribution is subtracted before descending.
-    """
-    profile = s.profile
-    residual = v
-    e = {}
-    for c in range(profile.n, 0, -1):
-        level_rows = [(lab, row) for lab, row in s.rows if lab[0] == c]
-        cols = len(level_rows)
-        alpha = profile.alpha(c)
-        matrix = tuple(
-            tuple(row.block(c)[pos] for _, row in level_rows) for pos in range(alpha)
-        )
-        rhs = tuple(residual.block(c))
-        if cols == 0:
-            if any(x % (1 << c) for x in rhs):
-                return None
-            for j in range(c):
-                e[(c, j)] = Poly.zero(c if j == 0 else c - j)
-            continue
-        sol = solve_linear_mod2k(LinearSystem(matrix, rhs, c))
-        if sol is None:
-            return None
-        coeffs = {}
-        for (lab, _), val in zip(level_rows, sol):
-            i, j, k = lab
-            bits = s.coeff_bits[(i, j)]
-            coeffs.setdefault(j, {})[k] = val % (1 << bits)
-        for j in range(c):
-            bits = s.coeff_bits.get((c, j), c if j == 0 else c - j)
-            got = coeffs.get(j, {})
-            length = s.counts.get((c, j), 0)
-            e[(c, j)] = Poly(tuple(got.get(k, 0) for k in range(length)), bits)
-        for (lab, row) in level_rows:
-            i, j, k = lab
-            val = e[(i, j)].coeff(k)
-            if val:
-                residual = residual - row.int_scale(val)
-    assert residual.is_zero()
-    return Decomposition(e)
+    Exact: the embedded v is in C iff it reduces to zero against the basis.
+    A word over another profile raises ProfileMismatch."""
+    if v.profile != s.profile:
+        raise ProfileMismatch(f"word profile {v.profile.alphas} vs code {s.profile.alphas}")
+    coeffs = echelon_reduce(_embed(v), s.echelon, s.profile.n)
+    return None if coeffs is None else Decomposition(tuple(coeffs))
 
 
 def generator_matrix(s: SpanningSet):

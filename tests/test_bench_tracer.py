@@ -14,12 +14,16 @@ import mixedcyclic.cli  # noqa: F401  (the tracer patches the CLI module too)
 DOCS = "demos/codes"
 
 
-def _load_tracer():
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+def _load_bench(name):
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load_bench("tracer")
 
 
 def test_tracer_installs_and_uninstalls(capsys):
@@ -36,3 +40,26 @@ def test_tracer_installs_and_uninstalls(capsys):
     # the command validated once and derived no cofactors on the side
     assert tracer.calls["generators.validate_generators"] == 1
     assert tracer.calls["generators.derive_cofactors"] == 0
+
+
+def test_tracer_counts_the_member_path():
+    # the bench's member query: derive_cofactors, build_spanning_set, then
+    # one membership_test per word
+    worker = _load_bench("worker")
+    with open(f"{DOCS}/toy_n2.json") as fh:
+        gens = mixedcyclic.cli.load_code_spec(fh.read())
+    words = ["0,0,0|0,0,0", "1,1,0|0,0,0", "1,0,0|0,0,0", "1,0,0|3,1,1"]
+    tracer = _load_tracer().Tracer(mixedcyclic)
+    tracer.install()
+    try:
+        patched = list(tracer.patches)
+        _, code, out, _ = worker._run_membership(mixedcyclic, gens, words)
+    finally:
+        tracer.uninstall()
+    assert (code, out) == (0, "1101\n")
+    assert tracer.calls["generators.derive_cofactors"] == 1
+    assert tracer.calls["spanning.build_spanning_set"] == 1
+    assert tracer.calls["spanning.membership_test"] == 4
+    assert tracer.counts["spanning.membership_test.members"] == 3
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, attr

@@ -119,6 +119,17 @@ def test_random_families_certify_against_closure():
     assert certified >= 30
 
 
+def test_random_families_echelon_exponent_equals_closure_size():
+    rng = random.Random(20240817)
+    for _ in range(60):
+        g = _random_family(rng)
+        s = build_spanning_set(g, derive_cofactors(g))
+        oracle = module_closure(g.generator_codewords(), budget=1 << 16)
+        assert oracle.saturated
+        exponent = sum(g.profile.n - v for _, v, _ in s.echelon)
+        assert len(oracle) == 1 << exponent, g.profile.alphas
+
+
 def test_random_families_validation_pass_carries_the_cofactors():
     rng = random.Random(20240817)
     for _ in range(60):

@@ -4,8 +4,10 @@ import itertools
 
 import pytest
 
+import mixedcyclic.spanning as spanning
 from mixedcyclic.closure import module_closure
-from mixedcyclic.codespace import BudgetExceeded, Codeword, cyclic_shift
+from mixedcyclic.codespace import (AlphabetProfile, BudgetExceeded, Codeword, ProfileMismatch,
+                                   all_codewords, cyclic_shift)
 from mixedcyclic.generators import derive_cofactors
 from mixedcyclic.spanning import (
     build_spanning_set,
@@ -116,20 +118,14 @@ def test_enumeration_budget(toy2):
 
 
 def test_membership_of_rows_and_zero(toy2):
-    from mixedcyclic.modring import Poly
-
     _, s = spanning_for(toy2)
     zero = Codeword.zero(toy2.profile)
     dec = membership_test(zero, s)
-    assert dec is not None and all(p.is_zero() for p in dec.e.values())
-    for (i, j, k), row in s.rows:
+    assert dec is not None and dec.coeffs == (0,) * len(s.echelon)
+    for _, row in s.rows:
         dec = membership_test(row, s)
         assert dec is not None
         assert dec.evaluate(s) == row
-        # the toy parametrization is injective, so the decomposition is the
-        # single unit coefficient at the row's own label
-        assert dec.e[(i, j)] == Poly.x_pow(k, s.coeff_bits[(i, j)])
-        assert all(p.is_zero() for key, p in dec.e.items() if key != (i, j))
 
 
 def test_count_law_mismatch_for_unit_layer_instance():
@@ -169,15 +165,72 @@ def test_membership_rejects_odd_weight_binary_block(toy2):
 
 
 def test_decomposition_respects_degree_and_modulus_bounds(toy2):
-    c, s = spanning_for(toy2)
+    _, s = spanning_for(toy2)
+    n = toy2.profile.n
     for w in enumerate_codewords(s):
         dec = membership_test(w, s)
         assert dec is not None
-        for (i, j), p in dec.e.items():
-            limit = s.counts[(i, j)]
-            assert p.degree() is None or p.degree() <= limit - 1
-            assert p.k == s.coeff_bits[(i, j)]
-        break
+        assert len(dec.coeffs) == len(s.echelon)
+        for coeff, (_, v, _) in zip(dec.coeffs, s.echelon):
+            assert 0 <= coeff < 1 << (n - v)
+
+
+UNIT_LAYER_A2 = [[3, 0, 2], [3]]  # a_20 = 2x^2 + 3, a unit of Z4[x]
+EVEN_LEAD_A2 = [[1, 3, 3, 2], [1]]  # a_20 = (1 + x + x^2)(1 + 2x) mod 4
+
+
+def family_33(a_2):
+    return make_generators([3, 3], [[[1, 1]], a_2], [[[1]]])
+
+
+def echelon_exponent(s):
+    return sum(s.profile.n - v for _, v, _ in s.echelon)
+
+
+@pytest.mark.parametrize("a_2", [UNIT_LAYER_A2, EVEN_LEAD_A2], ids=["unit_layer", "even_lead"])
+def test_membership_matches_closure_where_the_rows_fall_short(a_2):
+    g = family_33(a_2)
+    _, s = spanning_for(g)
+    oracle = module_closure(g.generator_codewords())
+    wrong = []
+    for v in all_codewords(g.profile):
+        dec = membership_test(v, s)
+        if (dec is not None) != (v.flat() in oracle.elements):
+            wrong.append(v.to_text())
+        elif dec is not None:
+            assert dec.evaluate(s) == v
+    assert wrong == []
+
+
+def test_echelon_exponent_equals_closure_size(binary7, toy2, example855, tower111):
+    # (2, 3): lcm 6 exceeds sum alpha = 5, so the basis leaves out shift 5
+    pair23 = make_generators([2, 3], [[[1, 1]], [[1, 1, 1], [1]]], [[[1]]])
+    for g in (binary7, toy2, tower111, family_33(UNIT_LAYER_A2), family_33(EVEN_LEAD_A2), pair23):
+        _, s = spanning_for(g)
+        oracle = module_closure(g.generator_codewords())
+        assert oracle.saturated
+        assert len(oracle) == 1 << echelon_exponent(s), g.profile.alphas
+    # 2^31 words are beyond the closure oracle; 31 is the exponent the
+    # independent Howell-form reference (bench/reference.py) finds
+    assert echelon_exponent(spanning_for(example855)[1]) == 31
+
+
+@pytest.mark.parametrize("alphas", [(3, 3, 1), (5, 5), (3,)])
+def test_membership_rejects_a_word_over_another_profile(toy2, alphas):
+    _, s = spanning_for(toy2)
+    with pytest.raises(ProfileMismatch):
+        membership_test(Codeword.zero(AlphabetProfile(alphas)), s)
+
+
+def test_words_tested_on_one_set_share_one_echelon_build(toy2, monkeypatch):
+    builds = []
+    real = spanning.echelon_mod2k
+    monkeypatch.setattr(spanning, "echelon_mod2k", lambda rows, k: builds.append(k) or real(rows, k))
+    _, s = spanning_for(toy2)
+    oracle = module_closure(toy2.generator_codewords())
+    for w in itertools.islice(all_codewords(toy2.profile), 4):
+        assert (membership_test(w, s) is not None) == (w in oracle)
+    assert builds == [2]
 
 
 def test_generator_matrix_and_csv_roundtrip(toy2):
