@@ -5,7 +5,7 @@ one block per level i, with the simultaneous cyclic shift acting on all
 blocks at once.  The package builds such codes from structured generator
 families, validates the divisibility conditions those families must
 satisfy, derives minimal spanning sets and generator matrices, enumerates
-and counts codewords, computes Gray images and Lee/Hamming metrics, scans
+and counts codewords, computes Gray images and Lee/Hamming metrics, solves
 for duals, and cross-checks everything against an independent brute-force
 module-closure oracle at desk scale.
 """
@@ -61,7 +61,7 @@ from .metrics import (
     mixed_weight,
     weight_distribution,
 )
-from .duality import DualResult, brute_force_dual, inner_product, shift_adjoint_check
+from .duality import DualResult, brute_force_dual, dual_code, inner_product, shift_adjoint_check
 from .closure import ClosureResult, module_closure
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .closure import module_closure
 from .codespace import AlphabetProfile, BudgetExceeded, partition_range
-from .duality import brute_force_dual
+from .duality import dual_code
 from .generators import StructuredGenerators, validate_generators
 from .metrics import gray_map, merge_distributions, weight_distribution
 from .modring import Poly
@@ -281,8 +281,7 @@ def _cmd_mindist(gens, report, args):
 
 
 def _cmd_dual(gens, report, args):
-    res = brute_force_dual(gens.generator_codewords(), gens.profile,
-                           budget=args.budget_space, threads=args.threads)
+    res = dual_code(gens.generator_codewords(), gens.profile, budget=args.budget_space)
     lines = [f"dual_count={res.dual_count}",
              f"cyclic={'true' if res.cyclic_flag else 'false'}"]
     lines.extend(w.to_text() for w in res.dual_codewords)
@@ -375,7 +374,7 @@ def build_parser():
         p.add_argument("--budget-enum", type=int, default=DEFAULT_ENUM_BUDGET,
                        help="max enumerated codewords")
         p.add_argument("--budget-space", type=int, default=DEFAULT_SPACE_BUDGET,
-                       help="max ambient-space scan size")
+                       help="max dual words that dual lists")
         return p
 
     p = command("validate", _cmd_validate, help="check the generator conditions")

@@ -1,11 +1,16 @@
-"""Weighted inner product, orthogonality, and brute-force duals.
+"""Weighted inner product, orthogonality, and duals.
 
 The pairing weights block i by 2^(n-i) so that every block contributes
-mod 2^n:  u.v = sum_i 2^(n-i) <u_i, v_i> mod 2^n.  The dual of a code is
-computed by scanning the whole ambient module at desk scale; membership
-is tested against a spanning family (each generator together with all of
-its shifts), which suffices because the pairing is biadditive and every
-code element is an integer combination of generator shifts.
+mod 2^n:  u.v = sum_i 2^(n-i) <u_i, v_i> mod 2^n.  Scaling block i by
+2^(n-i) embeds C in (Z/2^n)^N, where the pairing becomes the plain dot
+product, so the dual is solved, not searched: dual_code takes the kernel
+mod 2^n of the code's echelon basis (a Howell form of [A^T | I]), reads
+it mod 2^i in block i, and lists its words from an echelon basis.
+brute_force_dual is the cross-check: it scans the whole ambient module
+at desk scale and tests each vector against a spanning family (each
+generator with all of its shifts), which suffices because the pairing
+is biadditive and every code element is an integer combination of
+generator shifts.
 """
 
 from __future__ import annotations
@@ -18,9 +23,12 @@ from .codespace import (
     Codeword,
     ProfileMismatch,
     cyclic_shift,
+    from_flat,
     iter_space_range,
     partition_range,
 )
+from .modring import echelon_mod2k
+from .spanning import code_echelon, scale_shifts
 
 
 def inner_product(u: Codeword, v: Codeword):
@@ -93,7 +101,40 @@ def brute_force_dual(generators, profile, budget=1 << 20, threads=1):
             parts = list(pool.map(scan, chunks))
     else:
         parts = [scan(rng) for rng in chunks]
-    dual = [v for part in parts for v in part]
+    return _dual_result([v for part in parts for v in part])
+
+
+def dual_code(generators, profile, budget=1 << 20):
+    """The dual of the code the generators span, solved over Z/2^n.
+
+    Raises BudgetExceeded when the dual has more than budget words;
+    otherwise lists each word once, in canonical lexicographic order.
+    """
+    n, size = profile.n, sum(profile.alphas)
+    shifts = scale_shifts(profile)
+    code = code_echelon(generators, profile)
+    m = len(code)
+    # rows (column j of A | e_j) span (A x, x); pivots past column m span A x = 0,
+    # which read mod 2^i in block i and embedded again spans the embedded dual
+    stacked = [[row[j] for _, _, row in code] + [int(j == c) for c in range(size)]
+               for j in range(size)]
+    kernel = [[c << e for c, e in zip(row[m:], shifts)]
+              for col, _, row in echelon_mod2k(stacked, n) if col >= m]
+    basis = echelon_mod2k(kernel, n)
+    exponent = sum(n - v for _, v, _ in basis)
+    assert exponent + sum(n - v for _, v, _ in code) == profile.space_size_exponent(), \
+        "|C| * |C-perp| != |ambient|"
+    if 1 << exponent > budget:
+        raise BudgetExceeded(f"dual has 2^{exponent} words, budget {budget}")
+    words = [[0] * size]
+    for _, v, row in basis:  # multipliers c < 2^(n - v): every word once
+        words = [[a + c * p for a, p in zip(w, row)] for w in words for c in range(1 << (n - v))]
+    mod = 1 << n
+    flats = sorted(tuple((a % mod) >> e for a, e in zip(w, shifts)) for w in words)
+    return _dual_result([from_flat(profile, f) for f in flats])
+
+
+def _dual_result(dual):
+    """The dual words and whether the shift maps them into themselves."""
     keys = {v.flat() for v in dual}
-    cyclic = all(cyclic_shift(v).flat() in keys for v in dual)
-    return DualResult(tuple(dual), cyclic)
+    return DualResult(tuple(dual), all(cyclic_shift(v).flat() in keys for v in dual))

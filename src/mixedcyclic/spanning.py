@@ -20,6 +20,8 @@ used for threaded scans).
 
 Membership is exact: these rows can miss part of C (unit layers, even
 leads), so it reduces the word against a strong echelon basis of C.
+code_echelon builds that basis from the generator words alone, with no
+cofactors, and the dual solve in duality starts from it too.
 """
 
 from __future__ import annotations
@@ -46,16 +48,8 @@ class SpanningSet:
 
     @functools.cached_property
     def echelon(self):
-        """Echelon basis of C from the embedded x^k * g_i, k < min(lcm alpha, sum alpha):
-        the shift has order lcm alpha and is killed by prod (x^alpha_i - 1), monic
-        of degree sum alpha, so every later shift is a Z-combination of these."""
-        rows = []
-        shifts = min(self.profile.shift_order(), sum(self.profile.alphas))
-        for w in self.family.generator_codewords():
-            for _ in range(shifts):
-                rows.append(_embed(w))
-                w = cyclic_shift(w)
-        return echelon_mod2k(rows, self.profile.n)
+        """Echelon basis of C, built once per spanning set."""
+        return code_echelon(self.family.generator_codewords(), self.profile)
 
     def row_codewords(self):
         return [r for _, r in self.rows]
@@ -189,13 +183,28 @@ def distinct_codewords(s: SpanningSet, budget=1 << 16):
     return seen, total
 
 
-def _scale_shifts(profile):
+def scale_shifts(profile):
     """Per coordinate, the power of 2 that embeds block i into Z/2^n."""
     return [profile.n - i for i, a in enumerate(profile.alphas, start=1) for _ in range(a)]
 
 
 def _embed(v: Codeword):
-    return [c << e for c, e in zip(v.flat(), _scale_shifts(v.profile))]
+    return [c << e for c, e in zip(v.flat(), scale_shifts(v.profile))]
+
+
+def code_echelon(words, profile):
+    """Echelon basis over Z/2^n of the code the words generate, embedded.
+
+    Built from x^k * w, k < min(lcm alpha, sum alpha): the shift has order
+    lcm alpha and is killed by prod (x^alpha_i - 1), monic of degree
+    sum alpha, so every later shift is a Z-combination of these."""
+    shifts = min(profile.shift_order(), sum(profile.alphas))
+    rows = []
+    for w in words:
+        for _ in range(shifts):
+            rows.append(_embed(w))
+            w = cyclic_shift(w)
+    return echelon_mod2k(rows, profile.n)
 
 
 @dataclass(frozen=True)
@@ -205,7 +214,7 @@ class Decomposition:
     coeffs: tuple
 
     def evaluate(self, s: SpanningSet) -> Codeword:
-        shifts = _scale_shifts(s.profile)
+        shifts = scale_shifts(s.profile)
         acc = [0] * len(shifts)
         for c, (_, _, row) in zip(self.coeffs, s.echelon):
             acc = [a + c * p for a, p in zip(acc, row)]

@@ -6,6 +6,7 @@ would break `bench/run.py --trace 1`; this guard catches it in the suite.
 """
 
 import importlib.util
+import json
 import pathlib
 
 import mixedcyclic
@@ -61,5 +62,25 @@ def test_tracer_counts_the_member_path():
     assert tracer.calls["spanning.build_spanning_set"] == 1
     assert tracer.calls["spanning.membership_test"] == 4
     assert tracer.counts["spanning.membership_test.members"] == 3
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, attr
+
+
+def test_tracer_shows_dual_solves_without_scanning(capsys):
+    # dual lists C-perp from a kernel basis: no ambient scan, no inner products
+    argv = ["dual", f"{DOCS}/toy_n2.json"]
+    tracer = _load_tracer().Tracer(mixedcyclic)
+    tracer.install()
+    try:
+        patched = list(tracer.patches)
+        assert mixedcyclic.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    golden = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
+    expected = next(e for e in json.loads(golden.read_text()) if e["argv"] == argv)
+    assert capsys.readouterr().out == expected["stdout"]
+    for name in ("duality.brute_force_dual", "codespace.iter_space_range",
+                 "duality.inner_product"):
+        assert tracer.calls[name] == 0, name
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, attr

@@ -387,3 +387,19 @@ def test_non_integer_count_flag_names_the_flag(argv, flag, capsys):
     err = capsys.readouterr().err
     assert f"argument {flag}: expected an integer >= 1, got 'x'" in err
     assert "_positive_int" not in err
+
+
+def _golden_stdout(argv):
+    with open("tests/data/cli_golden.json") as fh:
+        return next(e["stdout"] for e in json.load(fh) if e["argv"] == argv)
+
+
+def test_budget_space_bounds_the_words_dual_lists(capsys):
+    # toy_n2 has 2^3 dual words in an ambient space of 2^9
+    doc = f"{DOCS}/toy_n2.json"
+    assert main(["dual", doc, "--budget-space", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: dual has 2^3 words, budget 4\n" in captured.err
+    assert main(["dual", doc, "--budget-space", "8"]) == 0
+    assert capsys.readouterr().out == _golden_stdout(["dual", doc])

@@ -1,10 +1,11 @@
-"""Inner product, shift-adjointness, and brute-force duals."""
+"""Inner product, shift-adjointness, and duals: solved, and scanned as the cross-check."""
 
 import itertools
 import random
 
 import pytest
 
+from mixedcyclic.cli import load_code_spec
 from mixedcyclic.closure import module_closure
 from mixedcyclic.codespace import (
     AlphabetProfile,
@@ -15,10 +16,15 @@ from mixedcyclic.codespace import (
 )
 from mixedcyclic.duality import (
     brute_force_dual,
+    dual_code,
     inner_product,
     shift_adjoint_check,
     spanning_family,
 )
+from mixedcyclic.spanning import code_echelon
+
+from test_random_families import _random_family
+from test_spanning import EVEN_LEAD_A2, UNIT_LAYER_A2, family_33
 
 
 def test_inner_product_examples():
@@ -144,3 +150,66 @@ def test_spanning_family_covers_generator_orbit():
     for _ in range(prof.shift_order()):
         assert any(w == f for f in fam)
         w = cyclic_shift(w)
+
+
+DESK_DOCUMENTS = ["demos/codes/binary_n1.json", "demos/codes/toy_n2.json",
+                  "demos/codes/tower_111.json", "tests/data/missing_h31.json"]
+
+
+def _desk_families():
+    families = []
+    for path in DESK_DOCUMENTS:
+        with open(path) as fh:
+            families.append(load_code_spec(fh.read()))
+    return families + [family_33(UNIT_LAYER_A2), family_33(EVEN_LEAD_A2)]
+
+
+def _seeded_families(max_exponent):
+    rng = random.Random(20240817)
+    families = [_random_family(rng) for _ in range(60)]
+    return [g for g in families if g.profile.space_size_exponent() <= max_exponent]
+
+
+def test_solved_dual_equals_the_scan_on_desk_codes():
+    # the demo codes whose ambient space a scan can cover, the family that
+    # passes without h_31, and the (3,3) unit-layer and even-lead families
+    for g in _desk_families():
+        words = g.generator_codewords()
+        assert dual_code(words, g.profile) == brute_force_dual(words, g.profile), g.profile
+
+
+def test_solved_dual_equals_the_scan_on_seeded_families():
+    families = _seeded_families(12)
+    assert len(families) == 46
+    for g in families:
+        words = g.generator_codewords()
+        solved = dual_code(words, g.profile)
+        assert solved == brute_force_dual(words, g.profile, budget=1 << 12), g.profile
+        assert solved.cyclic_flag
+
+
+def test_dual_of_the_dual_is_the_closure():
+    for g in _desk_families() + _seeded_families(12):
+        oracle = module_closure(g.generator_codewords(), budget=1 << 12)
+        assert oracle.saturated
+        double = dual_code(dual_code(g.generator_codewords(), g.profile).dual_codewords, g.profile)
+        assert double.dual_count == len(oracle), g.profile
+        assert all(w.flat() in oracle.elements for w in double.dual_codewords)
+
+
+def test_solved_dual_of_the_paper_example(example855):
+    words = example855.generator_codewords()
+    res = dual_code(words, example855.profile)
+    assert res.dual_count == 4 and res.cyclic_flag
+    family = spanning_family(words)
+    assert all(inner_product(u, w) == 0 for w in res.dual_codewords for u in family)
+    prof = example855.profile
+    code_exponent = sum(prof.n - v for _, v, _ in code_echelon(words, prof))
+    assert (code_exponent, prof.space_size_exponent()) == (31, 33)
+
+
+def test_solved_dual_budget_bounds_the_dual_not_the_ambient_space(toy2):
+    words = toy2.generator_codewords()
+    with pytest.raises(BudgetExceeded, match=r"2\^3 words, budget 4"):
+        dual_code(words, toy2.profile, budget=4)
+    assert dual_code(words, toy2.profile, budget=8).dual_count == 8
