@@ -27,6 +27,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -34,13 +35,13 @@ from .closure import module_closure
 from .codespace import AlphabetProfile, BudgetExceeded, partition_range
 from .duality import dual_code
 from .generators import StructuredGenerators, validate_generators
-from .metrics import gray_map, merge_distributions, weight_distribution
+from .metrics import gray_map, merge_distributions, packed_weigher
 from .modring import Poly
 from .spanning import (
     build_spanning_set,
     codeword_count_exponent,
     diff_against_reference,
-    iter_codeword_range,
+    iter_packed_range,
     matrix_to_csv,
     matrix_to_json_payload,
     parse_matrix_csv,
@@ -163,12 +164,12 @@ def _enumerable(gens, report, args):
 
 
 def _scan_code(gens, report, args, work):
-    """Map work over contiguous ranges of the enumeration, one per worker;
-    the parts come back in range order."""
+    """Map work over contiguous ranges of the packed enumeration, one per
+    worker; the parts come back in range order."""
     s, t = _enumerable(gens, report, args)
 
     def run(rng):
-        return work(iter_codeword_range(s, *rng))
+        return work(iter_packed_range(s, *rng))
 
     chunks = partition_range(1 << t, args.threads)
     if len(chunks) > 1:
@@ -245,10 +246,10 @@ def _cmd_matrix(gens, report, args):
 
 
 def _cmd_enum(gens, report, args):
-    s, t, parts = _scan_code(
-        gens, report, args, lambda words: [w.to_text() for w in words])
-    lines = [line for part in parts for line in part]
-    distinct = len(set(lines))
+    s, t, parts = _scan_code(gens, report, args, list)
+    words = [w for part in parts for w in part]
+    distinct = len(set(words))
+    lines = list(map(gens.profile.packing.text, words))
     warnings = list(s.warnings)
     if distinct != 1 << t:
         warnings.append({
@@ -266,7 +267,8 @@ def _cmd_count(gens, report, args):
 
 
 def _cmd_mindist(gens, report, args):
-    s, t, parts = _scan_code(gens, report, args, weight_distribution)
+    weigh = packed_weigher(gens.profile.packing)
+    s, t, parts = _scan_code(gens, report, args, lambda words: Counter(map(weigh, words)))
     dist = merge_distributions(parts)
     best = min((wt for wt in dist if wt), default=None)
     lines = ["d=undefined (no nonzero codeword)" if best is None else f"d={best}"]
@@ -293,11 +295,11 @@ def _cmd_dual(gens, report, args):
 def _cmd_oracle_check(gens, report, args):
     # sequential: threads only slow this scan down, the closure dominates
     s, t = _enumerable(gens, report, args)
-    enumerated = {w.flat() for w in iter_codeword_range(s, 0, 1 << t)}
+    enumerated = set(iter_packed_range(s, 0, 1 << t))
     oracle = module_closure(gens.generator_codewords(), budget=args.budget_enum)
     if not oracle.saturated:
         raise BudgetExceeded("module closure exceeded the enumeration budget")
-    equal = enumerated == set(oracle.elements)
+    equal = enumerated == set(map(gens.profile.packing.pack, oracle.elements))
     lines = [f"equal={'true' if equal else 'false'}",
              f"enumerated={len(enumerated)}",
              f"closure={len(oracle)}"]

@@ -12,6 +12,7 @@ into polynomial modules.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -69,6 +70,49 @@ class AlphabetProfile:
     def space_size_exponent(self):
         """log2 of the ambient module size, sum of i*alpha_i."""
         return sum(i * a for i, a in enumerate(self.alphas, start=1))
+
+    @functools.cached_property
+    def packing(self):
+        """The packed-int layout of words over this profile, built once."""
+        return Packing(self)
+
+
+class Packing:
+    """Words as ints for the hot scans: coordinate p of flat() fills field p
+    (the first most significant, so int order is flat() order).  A field of
+    field_bytes bytes has room for n+1 bits, so a sum of two words never
+    carries across fields and one & mask reduces every field mod 2^i."""
+
+    def __init__(self, profile):
+        self.profile = profile
+        self.field_bytes = -(-(profile.n + 1) // 8)
+        self.levels = [i for i, a in enumerate(profile.alphas, start=1) for _ in range(a)]
+        self.nbytes = self.field_bytes * len(self.levels)
+        self.shifts = [8 * self.field_bytes * p for p in range(len(self.levels) - 1, -1, -1)]
+        self.mask = sum(((1 << i) - 1) << e for i, e in zip(self.levels, self.shifts))
+        self.template = "|".join(",".join(["%d"] * a) for a in profile.alphas)
+
+    def pack(self, flat):
+        return sum(c << e for c, e in zip(flat, self.shifts))
+
+    def unpack(self, w):
+        """The coordinates of w in flat() order (its bytes, at one byte a field)."""
+        raw, step = w.to_bytes(self.nbytes, "big"), self.field_bytes
+        return raw if step == 1 else [int.from_bytes(raw[p:p + step], "big")
+                                      for p in range(0, self.nbytes, step)]
+
+    def text(self, w):
+        return self.template % tuple(self.unpack(w))  # Codeword.to_text
+
+    def codeword(self, w):
+        return from_flat(self.profile, self.unpack(w))
+
+    def multiples(self, w, count):
+        """[0, w, 2w, ..., (count-1)w], by repeated addition."""
+        table = [0]
+        for _ in range(count - 1):
+            table.append((table[-1] + w) & self.mask)
+        return table
 
 
 @dataclass(frozen=True)
@@ -182,13 +226,6 @@ def scalar_action(d: Poly, u: PolyTuple) -> PolyTuple:
     return PolyTuple(u.profile, tuple(out))
 
 
-def _coordinate_moduli(profile):
-    out = []
-    for i, a in enumerate(profile.alphas, start=1):
-        out.extend([1 << i] * a)
-    return out
-
-
 def from_flat(profile, flat):
     """The codeword whose coordinates, in block order, are flat (inverse of flat())."""
     comps = []
@@ -222,23 +259,16 @@ def iter_space_range(profile, start, stop):
 
     The order treats the first coordinate as most significant (the whole
     range is all_codewords), so contiguous index ranges are coordinate-prefix
-    partitions and concatenating them preserves the canonical order.
+    partitions and concatenating them preserves the canonical order.  Each
+    coordinate of level i takes i bits of the position, so the walk is a
+    packed word counting up: with the spare bits of every field set, +1
+    carries from field to field.
     """
-    moduli = _coordinate_moduli(profile)
-    total = 1 << profile.space_size_exponent()
-    stop = min(stop, total)
-    if start >= stop:
-        return
-    flat = []
-    rem = start
-    for m in reversed(moduli):
-        flat.append(rem % m)
-        rem //= m
-    flat.reverse()
-    for _ in range(start, stop):
-        yield from_flat(profile, flat)
-        for pos in range(len(flat) - 1, -1, -1):
-            flat[pos] += 1
-            if flat[pos] < moduli[pos]:
-                break
-            flat[pos] = 0
+    packing = profile.packing
+    w, rem = 0, start
+    for i, e in zip(reversed(packing.levels), reversed(packing.shifts)):
+        w, rem = w | (rem & ((1 << i) - 1)) << e, rem >> i
+    spare = ((1 << 8 * packing.nbytes) - 1) ^ packing.mask
+    for _ in range(start, min(stop, 1 << profile.space_size_exponent())):
+        yield packing.codeword(w)
+        w = ((w | spare) + 1) & packing.mask

@@ -5,7 +5,8 @@ mod 2^n:  u.v = sum_i 2^(n-i) <u_i, v_i> mod 2^n.  Scaling block i by
 2^(n-i) embeds C in (Z/2^n)^N, where the pairing becomes the plain dot
 product, so the dual is solved, not searched: dual_code takes the kernel
 mod 2^n of the code's echelon basis (a Howell form of [A^T | I]), reads
-it mod 2^i in block i, and lists its words from an echelon basis.
+it mod 2^i in block i, and lists its words as packed ints from an
+echelon basis, building each Codeword once.
 brute_force_dual is the cross-check: it scans the whole ambient module
 at desk scale and tests each vector against a spanning family (each
 generator with all of its shifts), which suffices because the pairing
@@ -27,7 +28,7 @@ from .codespace import (
     iter_space_range,
     partition_range,
 )
-from .modring import echelon_mod2k
+from .modring import echelon_mod2k, echelon_reduce
 from .spanning import code_echelon, scale_shifts
 
 
@@ -101,7 +102,9 @@ def brute_force_dual(generators, profile, budget=1 << 20, threads=1):
             parts = list(pool.map(scan, chunks))
     else:
         parts = [scan(rng) for rng in chunks]
-    return _dual_result([v for part in parts for v in part])
+    dual = [v for part in parts for v in part]
+    keys = {v.flat() for v in dual}
+    return DualResult(tuple(dual), all(cyclic_shift(v).flat() in keys for v in dual))
 
 
 def dual_code(generators, profile, budget=1 << 20):
@@ -126,15 +129,14 @@ def dual_code(generators, profile, budget=1 << 20):
         "|C| * |C-perp| != |ambient|"
     if 1 << exponent > budget:
         raise BudgetExceeded(f"dual has 2^{exponent} words, budget {budget}")
-    words = [[0] * size]
-    for _, v, row in basis:  # multipliers c < 2^(n - v): every word once
-        words = [[a + c * p for a, p in zip(w, row)] for w in words for c in range(1 << (n - v))]
-    mod = 1 << n
-    flats = sorted(tuple((a % mod) >> e for a, e in zip(w, shifts)) for w in words)
-    return _dual_result([from_flat(profile, f) for f in flats])
+    rows = [from_flat(profile, [a >> e for a, e in zip(row, shifts)]) for _, _, row in basis]
+    # the shift is additive: C-perp is shift-closed iff every shifted basis row is in it
+    cyclic = all(echelon_reduce([c << e for c, e in zip(cyclic_shift(w).flat(), shifts)], basis, n)
+                 is not None for w in rows)
+    packing = profile.packing
+    words = [0]
+    for w, (_, v, _) in zip(rows, basis):  # multipliers c < 2^(n - v): every word once
+        multiples = packing.multiples(packing.pack(w.flat()), 1 << (n - v))
+        words = [(u + d) & packing.mask for u in words for d in multiples]
+    return DualResult(tuple(map(packing.codeword, sorted(words))), cyclic)  # int order is flat() order
 
-
-def _dual_result(dual):
-    """The dual words and whether the shift maps them into themselves."""
-    keys = {v.flat() for v in dual}
-    return DualResult(tuple(dual), all(cyclic_shift(v).flat() in keys for v in dual))

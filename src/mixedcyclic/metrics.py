@@ -6,6 +6,8 @@ position p is set iff p <= u <= p + q - 1.  That closed form realises the
 unit-vector recurrence (consecutive images differ in exactly one place)
 and turns Lee weight into Hamming weight on the nose.  Level 1 embeds
 bits verbatim.
+
+Scans weigh packed words (codespace.Packing) with packed_weigher.
 """
 
 from __future__ import annotations
@@ -49,6 +51,27 @@ def mixed_weight(v: Codeword):
     for i in range(2, v.profile.n + 1):
         total += sum(lee_weight(c, i) for c in v.block(i))
     return total
+
+
+def packed_weigher(packing):
+    """The mixed weight of a packed word, read from its bytes.
+
+    At one byte a field, block i goes through a 256-entry table of Lee
+    weights mod 2^i (Hamming at i = 1) and the translated bytes are summed;
+    wider fields (n >= 8) are decoded.
+    """
+    if packing.field_bytes > 1:
+        return lambda w: sum(map(lee_weight, packing.unpack(w), packing.levels))
+    cuts, lo = [], 0
+    for i, a in enumerate(packing.profile.alphas, start=1):
+        cuts.append((slice(lo, lo + a), bytes(lee_weight(u, i) for u in range(256))))
+        lo += a
+
+    def weigh(w):
+        raw = packing.unpack(w)  # the fields' bytes, in flat() order
+        return sum(b"".join([raw[cut].translate(table) for cut, table in cuts]))
+
+    return weigh
 
 
 def mixed_distance(u: Codeword, v: Codeword):

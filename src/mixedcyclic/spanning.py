@@ -16,7 +16,8 @@ j = 0 and Z/2^(i-j) for j >= 1; the code size is 2^t with
 Enumeration walks the coefficient tuples lexicographically with the
 lowest (i, j, k) position varying fastest, so streams are reproducible
 and an index range addresses a contiguous slice (the partition contract
-used for threaded scans).
+used for threaded scans).  The walk runs on packed words (codespace.Packing),
+one add and one mask a step; Codewords are built only at the API edge.
 
 Membership is exact: these rows can miss part of C (unit layers, even
 leads), so it reduces the word against a strong echelon basis of C.
@@ -123,34 +124,33 @@ def codeword_at_index(s: SpanningSet, index: int) -> Codeword:
 
 
 def iter_codeword_range(s: SpanningSet, start: int, stop: int):
-    """Yield enumeration positions [start, stop) in order.
+    """Positions [start, stop) of the enumeration, as Codewords: the API
+    edge of iter_packed_range, decoding each packed word."""
+    return map(s.profile.packing.codeword, iter_packed_range(s, start, stop))
+
+
+def iter_packed_range(s: SpanningSet, start: int, stop: int):
+    """Yield enumeration positions [start, stop) in order, as packed words.
 
     An odometer over the coefficient digits with a partial-sum stack and
     a table multiples[t][d] = d*row_t built by repeated addition, so each
-    step costs one codeword addition and no row is scaled in the loop.
+    step costs one big-int addition and one & mask, and no row is scaled.
     """
+    packing = s.profile.packing
+    mask = packing.mask
     radices = _digit_radices(s)
     ndig = len(radices)
-    zero = Codeword.zero(s.profile)
-    if not ndig:
-        if start <= 0 < stop:
-            yield zero
-        return
-    multiples = []
-    for radix, (_, row) in zip(radices, s.rows):
-        table = [zero, row]
-        for _ in range(radix - 2):
-            table.append(table[-1] + row)
-        multiples.append(table)
+    multiples = [packing.multiples(packing.pack(row.flat()), radix)
+                 for radix, (_, row) in zip(radices, s.rows)]
     digits = []
     rem = start
     for r in radices:
         digits.append(rem % r)
         rem //= r
     # sums[t] = contribution of digits t.. end; sums[ndig] = 0
-    sums = [zero] * (ndig + 1)
+    sums = [0] * (ndig + 1)
     for t in range(ndig - 1, -1, -1):
-        sums[t] = sums[t + 1] + multiples[t][digits[t]] if digits[t] else sums[t + 1]
+        sums[t] = (sums[t + 1] + multiples[t][digits[t]]) & mask
     for _ in range(start, stop):
         yield sums[0]
         t = 0
@@ -160,9 +160,8 @@ def iter_codeword_range(s: SpanningSet, start: int, stop: int):
         if t == ndig:
             return
         digits[t] += 1
-        sums[t] = sums[t + 1] + multiples[t][digits[t]]
-        for u in range(t - 1, -1, -1):
-            sums[u] = sums[u + 1]
+        sums[t] = (sums[t + 1] + multiples[t][digits[t]]) & mask
+        sums[:t] = [sums[t]] * t  # the digits below t are back at zero
 
 
 def enumerate_codewords(s: SpanningSet, budget=1 << 16):

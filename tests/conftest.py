@@ -1,10 +1,15 @@
 """Shared desk-scale code instances used across the suite."""
 
+import pathlib
+import random
+
 import pytest
 
-from mixedcyclic.codespace import AlphabetProfile
+from mixedcyclic.codespace import AlphabetProfile, from_flat
 from mixedcyclic.generators import StructuredGenerators
 from mixedcyclic.modring import Poly
+
+DEMO_CODES = pathlib.Path(__file__).resolve().parents[1] / "demos" / "codes"
 
 
 def make_generators(alphas, a_lists, l_lists, allow_nonstandard=False):
@@ -55,3 +60,66 @@ def tower111():
         [[[1, 1]], [[3, 1], [1]], [[7, 1], [1], [1]]],
         [[[0]], [[0], [0]]],
     )
+
+
+UNIT_LAYER_A2 = [[3, 0, 2], [3]]  # a_20 = 2x^2 + 3, a unit of Z4[x]
+EVEN_LEAD_A2 = [[1, 3, 3, 2], [1]]  # a_20 = (1 + x + x^2)(1 + 2x) mod 4
+
+
+def family_33(a_2):
+    return make_generators([3, 3], [[[1, 1]], a_2], [[[1]]])
+
+
+def codeword_path(s, index):
+    """Position index of the enumeration of s by Codeword arithmetic: digit t
+    of index (radix 2^coeff_bits of row t, digit 0 fastest) times row t,
+    summed and reduced by Codeword itself."""
+    acc = [0] * sum(s.profile.alphas)
+    for (i, j, _), row in s.rows:
+        index, d = divmod(index, 1 << s.coeff_bits[(i, j)])
+        acc = [a + d * c for a, c in zip(acc, row.flat())]
+    return from_flat(s.profile, acc)
+
+
+def _absent(i, alpha):
+    """x^alpha - 1 over Z/2^i, written as an absent layer."""
+    return [(1 << i) - 1] + [0] * (alpha - 1) + [1]
+
+
+def kernel_families():
+    """(name, spanning set) pairs whose whole enumeration is at most 2^10
+    words, for checking the packed kernel against the Codeword path: the
+    small demo codes, unit-layer and even-lead layers, seeded random
+    families (n = 1..3, non-monic layers), an n = 4 family, and an n = 8
+    family, whose fields take two bytes and whose level-8 sums carry past
+    the low byte."""
+    from test_random_families import _random_family
+
+    from mixedcyclic.cli import load_code_spec
+    from mixedcyclic.generators import derive_cofactors
+    from mixedcyclic.spanning import build_spanning_set, span_size
+
+    fams = [(name, load_code_spec((DEMO_CODES / f"{name}.json").read_text()))
+            for name in ("binary_n1", "toy_n2", "tower_111")]
+    fams += [
+        ("unit_layer", family_33(UNIT_LAYER_A2)),
+        ("even_lead", family_33(EVEN_LEAD_A2)),
+        ("n4", make_generators(
+            [3, 3, 1, 3],
+            [[[1, 1]], [_absent(2, 3), [1, 1, 1]], [[7, 1], [7, 1], [1]],
+             [_absent(4, 3), _absent(4, 3), [1, 1, 1], [3]]],
+            [[[0]], [[0], [0]], [[0], [0], [0]]])),
+        ("n8", make_generators(
+            [1] * 8,
+            [[_absent(i, 1)] * i for i in range(1, 7)]
+            + [[_absent(7, 1)] * 4 + [[1]] * 3, [_absent(8, 1)] * 5 + [[1]] * 3],
+            [[[0]] * (i - 1) for i in range(2, 9)])),
+    ]
+    rng = random.Random(20240817)
+    fams += [(f"random{k}", _random_family(rng)) for k in range(30)]
+    out = []
+    for name, g in fams:
+        s = build_spanning_set(g, derive_cofactors(g))
+        if span_size(s) <= 1 << 10:
+            out.append((name, s))
+    return out

@@ -9,6 +9,8 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 import mixedcyclic
 import mixedcyclic.cli  # noqa: F401  (the tracer patches the CLI module too)
 
@@ -66,6 +68,29 @@ def test_tracer_counts_the_member_path():
         assert owner.__dict__[attr] is original, attr
 
 
+def _golden_stdout(argv):
+    golden = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
+    return next(e for e in json.loads(golden.read_text()) if e["argv"] == argv)["stdout"]
+
+
+@pytest.mark.parametrize("argv", [["mindist", f"{DOCS}/toy_n2.json", "--distribution"],
+                                  ["enum", f"{DOCS}/toy_n2.json"]])
+def test_tracer_sees_no_codeword_per_scanned_word(argv, capsys):
+    # the scan walks, weighs and prints packed words: fewer Codewords are
+    # built than the 64 words of the stream
+    tracer = _load_tracer().Tracer(mixedcyclic)
+    tracer.install()
+    try:
+        patched = list(tracer.patches)
+        assert mixedcyclic.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == _golden_stdout(argv)
+    assert tracer.calls["codespace.Codeword.__post_init__"] < 64
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, attr
+
+
 def test_tracer_shows_dual_solves_without_scanning(capsys):
     # dual lists C-perp from a kernel basis: no ambient scan, no inner products
     argv = ["dual", f"{DOCS}/toy_n2.json"]
@@ -76,9 +101,7 @@ def test_tracer_shows_dual_solves_without_scanning(capsys):
         assert mixedcyclic.cli.main(argv) == 0
     finally:
         tracer.uninstall()
-    golden = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
-    expected = next(e for e in json.loads(golden.read_text()) if e["argv"] == argv)
-    assert capsys.readouterr().out == expected["stdout"]
+    assert capsys.readouterr().out == _golden_stdout(argv)
     for name in ("duality.brute_force_dual", "codespace.iter_space_range",
                  "duality.inner_product"):
         assert tracer.calls[name] == 0, name

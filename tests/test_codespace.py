@@ -11,7 +11,9 @@ from mixedcyclic.codespace import (
     ProfileMismatch,
     all_codewords,
     cyclic_shift,
+    from_flat,
     from_polys,
+    iter_space_range,
     partition_range,
     scalar_action,
     to_polys,
@@ -36,6 +38,25 @@ def test_codeword_construction_and_text():
     assert v.block(2) == (0, 1, 2)
     with pytest.raises(ValueError):
         Codeword(prof, ((1, 0, 0), (0, 1, 2)))
+
+
+@pytest.mark.parametrize("alphas, field_bytes", [((2, 3), 1), ((1, 3, 1), 1), ((1,) * 7, 1),
+                                                 ((1,) * 8, 2), ((1,) * 16, 3)])
+def test_packing_layout(alphas, field_bytes):
+    # a field holds n+1 bits, so n = 8 takes two bytes and n = 16 three
+    prof = AlphabetProfile(alphas)
+    packing = prof.packing
+    assert packing is prof.packing
+    assert packing.field_bytes == field_bytes
+    rng = random.Random(20240817)
+    words = [from_flat(prof, [rng.randrange(1 << i) for i in packing.levels]) for _ in range(200)]
+    packed = [packing.pack(w.flat()) for w in words]
+    assert [packing.codeword(p) for p in packed] == words
+    assert [packing.text(p) for p in packed] == [w.to_text() for w in words]
+    # int order is the canonical (flat) order, and one add and mask is Codeword addition
+    assert sorted(packed) == [packing.pack(f) for f in sorted(w.flat() for w in words)]
+    for (u, pu), (v, pv) in zip(zip(words, packed), zip(words[1:], packed[1:])):
+        assert packing.codeword((pu + pv) & packing.mask) == u + v
 
 
 def test_shift_example():
@@ -136,6 +157,25 @@ def test_scalar_action_is_a_module_action():
 def test_space_size_exponent():
     assert AlphabetProfile((2, 3)).space_size_exponent() == 8
     assert AlphabetProfile((8, 5, 5)).space_size_exponent() == 8 + 10 + 15
+
+
+@pytest.mark.parametrize("alphas", [(2, 3), (1, 3, 1), (1,) * 8])
+def test_space_range_counts_in_mixed_radix_from_any_offset(alphas):
+    # position idx is idx written in radices 2^i, the last coordinate lowest;
+    # (1,)*8 has two-byte fields and 2^36 positions, so only slices are walked
+    prof = AlphabetProfile(alphas)
+    levels = [i for i, a in enumerate(alphas, start=1) for _ in range(a)]
+    total = 1 << prof.space_size_exponent()
+    rng = random.Random(20240817)
+    for start in [0, total - 3, total, *rng.sample(range(total), 5)]:
+        expected = []
+        for idx in range(start, min(start + 5, total)):
+            flat = []
+            for i in reversed(levels):
+                idx, c = divmod(idx, 1 << i)
+                flat.append(c)
+            expected.append(tuple(reversed(flat)))
+        assert [w.flat() for w in iter_space_range(prof, start, start + 5)] == expected, start
 
 
 def test_partition_range_chunks_are_contiguous_and_ordered(monkeypatch):

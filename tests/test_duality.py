@@ -24,7 +24,7 @@ from mixedcyclic.duality import (
 from mixedcyclic.spanning import code_echelon
 
 from test_random_families import _random_family
-from test_spanning import EVEN_LEAD_A2, UNIT_LAYER_A2, family_33
+from conftest import EVEN_LEAD_A2, UNIT_LAYER_A2, family_33
 
 
 def test_inner_product_examples():

@@ -1,10 +1,11 @@
 """Gray maps, weights, distances: published table values and isometry."""
 
 import itertools
+import random
 
 import pytest
 
-from mixedcyclic.codespace import AlphabetProfile, Codeword, all_codewords
+from mixedcyclic.codespace import AlphabetProfile, Codeword, all_codewords, from_flat
 from mixedcyclic.metrics import (
     gray_image,
     gray_map,
@@ -13,8 +14,12 @@ from mixedcyclic.metrics import (
     min_distance,
     mixed_distance,
     mixed_weight,
+    packed_weigher,
     weight_distribution,
 )
+from mixedcyclic.spanning import span_size
+
+from conftest import codeword_path, kernel_families
 
 # the eight level-3 images, from the defining recurrence
 GRAY_LEVEL3 = {
@@ -106,6 +111,30 @@ def test_mixed_weight_equals_gray_hamming_weight():
     prof = AlphabetProfile((2, 3))
     for v in all_codewords(prof):
         assert mixed_weight(v) == hamming_weight(gray_image(v))
+
+
+def test_packed_weight_is_mixed_weight_on_the_kernel_families():
+    for name, s in kernel_families():
+        packing = s.profile.packing
+        weigh = packed_weigher(packing)
+        for k in range(span_size(s)):
+            w = codeword_path(s, k)
+            assert weigh(packing.pack(w.flat())) == mixed_weight(w), (name, w.to_text())
+
+
+@pytest.mark.parametrize("alphas", [(2, 3), (3, 3, 1, 3), (1,) * 8, (1,) * 16])
+def test_packed_weight_is_mixed_weight_on_every_residue(alphas):
+    # levels 8 and up do not fit a byte: their fields are decoded, not looked up
+    prof = AlphabetProfile(alphas)
+    packing = prof.packing
+    weigh = packed_weigher(packing)
+    rng = random.Random(20240817)
+    flats = [[rng.randrange(1 << i) for i in packing.levels] for _ in range(300)]
+    for p, i in enumerate(packing.levels):
+        for u in range(min(1 << i, 512)):
+            flats.append([u if q == p else 0 for q in range(len(packing.levels))])
+    for flat in flats:
+        assert weigh(packing.pack(flat)) == mixed_weight(from_flat(prof, flat)), flat
 
 
 def test_distance_examples():

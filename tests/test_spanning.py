@@ -1,13 +1,14 @@
 """Spanning sets: block sizes, counting, enumeration, membership, matrices."""
 
 import itertools
+import random
 
 import pytest
 
 import mixedcyclic.spanning as spanning
 from mixedcyclic.closure import module_closure
 from mixedcyclic.codespace import (AlphabetProfile, BudgetExceeded, Codeword, ProfileMismatch,
-                                   all_codewords, cyclic_shift)
+                                   all_codewords, cyclic_shift, partition_range)
 from mixedcyclic.generators import derive_cofactors
 from mixedcyclic.spanning import (
     build_spanning_set,
@@ -17,13 +18,16 @@ from mixedcyclic.spanning import (
     distinct_codewords,
     enumerate_codewords,
     generator_matrix,
+    iter_codeword_range,
+    iter_packed_range,
     matrix_to_csv,
     membership_test,
     parse_matrix_csv,
     span_size,
 )
 
-from conftest import make_generators
+from conftest import (EVEN_LEAD_A2, UNIT_LAYER_A2, codeword_path, family_33, kernel_families,
+                      make_generators)
 
 
 def spanning_for(g):
@@ -103,12 +107,41 @@ def test_enumeration_order_is_reproducible_and_indexable(toy2):
         assert codeword_at_index(s, idx).to_text() == stream[idx]
     # partitioned iteration concatenates to the same stream
     n = span_size(s)
-    from mixedcyclic.spanning import iter_codeword_range
-
     parts = []
     for lo, hi in ((0, 13), (13, 40), (40, n)):
         parts.extend(w.to_text() for w in iter_codeword_range(s, lo, hi))
     assert parts == stream
+
+
+def test_packed_stream_decodes_to_the_codeword_path():
+    for name, s in kernel_families():
+        packing, total = s.profile.packing, span_size(s)
+        stream = list(iter_packed_range(s, 0, total))
+        words = [codeword_path(s, k) for k in range(total)]
+        assert [packing.codeword(w) for w in stream] == words, name
+        assert list(iter_codeword_range(s, 0, total)) == words, name
+        assert [packing.text(w) for w in stream] == [w.to_text() for w in words], name
+        assert [packing.pack(w.flat()) for w in words] == stream, name
+
+
+def test_packed_stream_resumes_at_any_offset(example855):
+    rng = random.Random(20240817)
+    # the (8,5,5) stream has 2^24 positions: only slices of it are walked
+    for name, s in kernel_families() + [("example855", spanning_for(example855)[1])]:
+        total = span_size(s)
+        for start in {0, total - 1, *rng.sample(range(total), min(6, total))}:
+            stop = min(start + 9, total)
+            expected = [codeword_path(s, k) for k in range(start, stop)]
+            assert list(iter_codeword_range(s, start, stop)) == expected, (name, start)
+
+
+def test_partition_chunks_concatenate_to_the_whole_packed_stream():
+    for name, s in kernel_families():
+        total = span_size(s)
+        whole = list(iter_packed_range(s, 0, total))
+        uneven = [(0, total // 3), (total // 3, total - 1), (total - 1, total)]
+        for chunks in (partition_range(total, 2), partition_range(total, 3), uneven):
+            assert [w for lo, hi in chunks for w in iter_packed_range(s, lo, hi)] == whole, name
 
 
 def test_enumeration_budget(toy2):
@@ -173,14 +206,6 @@ def test_decomposition_respects_degree_and_modulus_bounds(toy2):
         assert len(dec.coeffs) == len(s.echelon)
         for coeff, (_, v, _) in zip(dec.coeffs, s.echelon):
             assert 0 <= coeff < 1 << (n - v)
-
-
-UNIT_LAYER_A2 = [[3, 0, 2], [3]]  # a_20 = 2x^2 + 3, a unit of Z4[x]
-EVEN_LEAD_A2 = [[1, 3, 3, 2], [1]]  # a_20 = (1 + x + x^2)(1 + 2x) mod 4
-
-
-def family_33(a_2):
-    return make_generators([3, 3], [[[1, 1]], a_2], [[[1]]])
 
 
 def echelon_exponent(s):
