@@ -2,8 +2,11 @@
 
 tests/data/cli_golden.json records, for each invocation in CASES, the
 exit code and stdout of ``main``: every file command on the four demo
-codes and on two test families (one that fails condition (i), one that
-passes without h_31), in text and ``--json`` form, plus the command
+codes, on two test families (one that fails condition (i), one that
+passes without h_31) and on two seed-101 derive families of
+``bench/codes.py`` (``unit48`` with unit layers, ``fail_i50`` with a
+broken chain link), whose witnesses come from linear systems with a
+nonzero right-hand side, in text and ``--json`` form, plus the command
 options (``matrix --format json`` and ``--diff``, ``mindist
 --distribution``, ``validate --extend-iv``) and ``gray``.  It guards
 refactors of the CLI, which must leave every byte of it unchanged.
@@ -30,7 +33,8 @@ from mixedcyclic.cli import main
 GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
 DOCS = ["demos/codes/binary_n1.json", "demos/codes/toy_n2.json",
         "demos/codes/tower_111.json", "demos/codes/three_level_855.json",
-        "tests/data/fails_condition_i.json", "tests/data/missing_h31.json"]
+        "tests/data/fails_condition_i.json", "tests/data/missing_h31.json",
+        "tests/data/unit48.json", "tests/data/fail_i50.json"]
 FILE_COMMANDS = ["validate", "cofactors", "span", "matrix", "enum", "count",
                  "mindist", "dual", "oracle-check"]
 OPTIONS = [["validate", "--extend-iv"], ["matrix", "--format", "json"],
