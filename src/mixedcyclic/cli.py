@@ -204,18 +204,15 @@ def _cmd_cofactors(gens, report, args):
 
 def _cmd_span(gens, report, args):
     s = build_spanning_set(gens, report.require_cofactors())
-    lines = [f"rows={len(s.rows)}"]
-    for (i, j, k), row in s.rows:
-        lines.append(f"{i},{j},{k}: {row.to_text()}")
+    rows = [(label, row.to_text()) for label, row in s.rows]
+    lines = [f"rows={len(rows)}"]
+    lines.extend(f"{i},{j},{k}: {text}" for (i, j, k), text in rows)
     payload = {
         "counts": [
             {"level": i, "index": j, "rows": cnt}
             for (i, j), cnt in sorted(s.counts.items())
         ],
-        "rows": [
-            {"label": [i, j, k], "codeword": row.to_text()}
-            for (i, j, k), row in s.rows
-        ],
+        "rows": [{"label": list(label), "codeword": text} for label, text in rows],
     }
     return payload, lines, s.warnings
 
@@ -284,11 +281,10 @@ def _cmd_mindist(gens, report, args):
 
 def _cmd_dual(gens, report, args):
     res = dual_code(gens.generator_codewords(), gens.profile, budget=args.budget_space)
+    words = [w.to_text() for w in res.dual_codewords]
     lines = [f"dual_count={res.dual_count}",
-             f"cyclic={'true' if res.cyclic_flag else 'false'}"]
-    lines.extend(w.to_text() for w in res.dual_codewords)
-    payload = {"dual_count": res.dual_count, "cyclic": res.cyclic_flag,
-               "dual": [w.to_text() for w in res.dual_codewords]}
+             f"cyclic={'true' if res.cyclic_flag else 'false'}", *words]
+    payload = {"dual_count": res.dual_count, "cyclic": res.cyclic_flag, "dual": words}
     return payload, lines, []
 
 

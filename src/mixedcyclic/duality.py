@@ -28,7 +28,7 @@ from .codespace import (
     iter_space_range,
     partition_range,
 )
-from .modring import echelon_mod2k, echelon_reduce
+from .modring import echelon_mod2k, echelon_reduce, transpose_echelon
 from .spanning import code_echelon, scale_shifts
 
 
@@ -117,12 +117,9 @@ def dual_code(generators, profile, budget=1 << 20):
     shifts = scale_shifts(profile)
     code = code_echelon(generators, profile)
     m = len(code)
-    # rows (column j of A | e_j) span (A x, x); pivots past column m span A x = 0,
-    # which read mod 2^i in block i and embedded again spans the embedded dual
-    stacked = [[row[j] for _, _, row in code] + [int(j == c) for c in range(size)]
-               for j in range(size)]
+    # the kernel of A mod 2^n, read mod 2^i in block i and embedded again, spans the embedded dual
     kernel = [[c << e for c, e in zip(row[m:], shifts)]
-              for col, _, row in echelon_mod2k(stacked, n) if col >= m]
+              for col, _, row in transpose_echelon([row for _, _, row in code], size, n) if col >= m]
     basis = echelon_mod2k(kernel, n)
     exponent = sum(n - v for _, v, _ in basis)
     assert exponent + sum(n - v for _, v, _ in code) == profile.space_size_exponent(), \

@@ -50,10 +50,6 @@ class Poly:
         return cls((1,), k)
 
     @classmethod
-    def x_pow(cls, e, k, scale=1):
-        return cls((0,) * e + (scale,), k)
-
-    @classmethod
     def x_to_alpha_minus_1(cls, alpha, k):
         """The polynomial x^alpha - 1, the modulus of the cyclic quotient."""
         return cls((-1,) + (0,) * (alpha - 1) + (1,), k)
@@ -203,66 +199,21 @@ def _val2(c, k):
 def solve_linear_mod2k(sys: LinearSystem):
     """One solution of A*x = b over Z/2^k, or None.
 
-    Gaussian elimination with full pivoting on minimal 2-adic valuation:
-    the pivot entry 2^v * u (u odd) is normalised to 2^v, every remaining
-    entry then has valuation >= v, and back-substitution solves each pivot
-    equation iff its residual right-hand side has valuation >= v.  Free
-    variables take 0 and each pivot takes its least admissible value, so
-    the returned witness is deterministic.
+    b is reduced against the image pivots of transpose_echelon(A), the
+    Howell form of [A^T | I]: b lies in the image iff it reduces to zero,
+    and the multipliers that clear it, applied to the pivots' tails, give
+    x.  The witness is deterministic, but Z/2^k has zero divisors, so it
+    is one solution among several: not always the least one, nor the one
+    a full-pivoting Gauss-Jordan elimination would return.
     """
-    k = sys.k
-    mod = 1 << k
-    a = [list(row) for row in sys.matrix]
-    b = list(sys.rhs)
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-
-    pivots = []  # (row, col, valuation), in elimination order
-    used_cols = set()
-    r = 0
-    while r < nrows:
-        best = None
-        for i in range(r, nrows):
-            for j in range(ncols):
-                if j in used_cols or a[i][j] == 0:
-                    continue
-                v = _val2(a[i][j], k)
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-        if best is None:
-            break
-        v, i, j = best
-        a[r], a[i] = a[i], a[r]
-        b[r], b[i] = b[i], b[r]
-        unit = a[r][j] >> v
-        inv = pow(unit, -1, mod)
-        a[r] = [(c * inv) % mod for c in a[r]]
-        b[r] = (b[r] * inv) % mod
-        for i in range(nrows):
-            if i == r or a[i][j] == 0:
-                continue
-            t = a[i][j] >> v  # exact: every remaining entry has valuation >= v
-            a[i] = [(c - t * p) % mod for c, p in zip(a[i], a[r])]
-            b[i] = (b[i] - t * b[r]) % mod
-        pivots.append((r, j, v))
-        used_cols.add(j)
-        r += 1
-
-    for i in range(r, nrows):
-        if b[i] % mod != 0:
-            return None
-
-    x = [0] * ncols
-    for row, col, v in reversed(pivots):
-        residual = b[row]
-        for j in range(ncols):
-            if j != col and a[row][j]:
-                residual -= a[row][j] * x[j]
-        residual %= mod
-        if residual % (1 << v) != 0:
-            return None
-        x[col] = (residual >> v) % (1 << (k - v)) if v < k else 0
-    return x
+    k, r = sys.k, len(sys.matrix)
+    ncols = len(sys.matrix[0]) if r else 0
+    image = [(col, v, row) for col, v, row in transpose_echelon(sys.matrix, ncols, k) if col < r]
+    coeffs = echelon_reduce(sys.rhs, [(col, v, row[:r]) for col, v, row in image], k)
+    if coeffs is None:
+        return None
+    return [sum(q * row[r + j] for q, (_, _, row) in zip(coeffs, image)) % (1 << k)
+            for j in range(ncols)]
 
 
 def echelon_mod2k(rows, k):
@@ -287,6 +238,19 @@ def echelon_mod2k(rows, k):
         pool = [r for r in rest if any(r)]
         basis.append((col, v, tuple(pivot)))
     return basis
+
+
+def transpose_echelon(matrix, ncols, k):
+    """Howell form of [A^T | I] for the len(matrix) x ncols matrix A over Z/2^k.
+
+    Row j is (column j of A, e_j), so the rows span the pairs (A x, x).
+    With r = len(matrix), the pivots in the first r columns lead the
+    image: their heads reduce any A x to zero, and their tails are the x
+    that reach each head.  The pivots past column r have zero heads, and
+    their tails span the kernel of A.
+    """
+    return echelon_mod2k([[row[j] for row in matrix] + [int(j == c) for c in range(ncols)]
+                          for j in range(ncols)], k)
 
 
 def echelon_reduce(x, basis, k):

@@ -130,7 +130,8 @@ def iter_codeword_range(s: SpanningSet, start: int, stop: int):
 
 
 def iter_packed_range(s: SpanningSet, start: int, stop: int):
-    """Yield enumeration positions [start, stop) in order, as packed words.
+    """Yield enumeration positions [start, stop) in order, as packed words;
+    the range ends at the end of the stream.
 
     An odometer over the coefficient digits with a partial-sum stack and
     a table multiples[t][d] = d*row_t built by repeated addition, so each
@@ -151,7 +152,7 @@ def iter_packed_range(s: SpanningSet, start: int, stop: int):
     sums = [0] * (ndig + 1)
     for t in range(ndig - 1, -1, -1):
         sums[t] = (sums[t + 1] + multiples[t][digits[t]]) & mask
-    for _ in range(start, stop):
+    for _ in range(start, min(stop, span_size(s))):
         yield sums[0]
         t = 0
         while t < ndig and digits[t] == radices[t] - 1:

@@ -5,7 +5,7 @@ exit code and stdout of ``main``: every file command on the four demo
 codes, on two test families (one that fails condition (i), one that
 passes without h_31) and on two seed-101 derive families of
 ``bench/codes.py`` (``unit48`` with unit layers, ``fail_i50`` with a
-broken chain link), whose witnesses come from linear systems with a
+broken chain link), whose validation solves linear systems with a
 nonzero right-hand side, in text and ``--json`` form, plus the command
 options (``matrix --format json`` and ``--diff``, ``mindist
 --distribution``, ``validate --extend-iv``) and ``gray``.  It guards

@@ -181,27 +181,31 @@ def test_solver_needs_column_freedom():
 
 
 def test_solver_agreement_with_exhaustive_3x3():
+    # the solver stacks A by columns, so non-square and empty shapes are
+    # where it can go wrong
     rng = random.Random(5)
-    for k in (1, 2, 3):
-        mod = 1 << k
-        for _ in range(40):
-            a = [[rng.randrange(mod) for _ in range(3)] for _ in range(3)]
-            b = [rng.randrange(mod) for _ in range(3)]
-            sol = solve_linear_mod2k(LinearSystem(tuple(map(tuple, a)), tuple(b), k))
-            brute = None
-            for x in itertools.product(range(mod), repeat=3):
-                if all(
-                    sum(a[r][c] * x[c] for c in range(3)) % mod == b[r]
-                    for r in range(3)
-                ):
-                    brute = x
-                    break
-            assert (sol is not None) == (brute is not None)
-            if sol is not None:
-                assert all(
-                    sum(a[r][c] * sol[c] for c in range(3)) % mod == b[r]
-                    for r in range(3)
-                )
+    for rows, cols in ((3, 3), (1, 3), (3, 1), (2, 4), (4, 2), (0, 0), (2, 0)):
+        for k in (1, 2, 3):
+            mod = 1 << k
+            for _ in range(40):
+                a = [[rng.randrange(mod) for _ in range(cols)] for _ in range(rows)]
+                b = [rng.randrange(mod) for _ in range(rows)]
+                sol = solve_linear_mod2k(LinearSystem(tuple(map(tuple, a)), tuple(b), k))
+                brute = None
+                for x in itertools.product(range(mod), repeat=cols):
+                    if all(
+                        sum(a[r][c] * x[c] for c in range(cols)) % mod == b[r]
+                        for r in range(rows)
+                    ):
+                        brute = x
+                        break
+                assert (sol is not None) == (brute is not None), (a, b, k)
+                if sol is not None:
+                    assert len(sol) == cols
+                    assert all(
+                        sum(a[r][c] * sol[c] for c in range(cols)) % mod == b[r]
+                        for r in range(rows)
+                    )
 
 
 def test_solver_rejects_ragged_input():

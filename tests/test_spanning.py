@@ -129,10 +129,10 @@ def test_packed_stream_resumes_at_any_offset(example855):
     # the (8,5,5) stream has 2^24 positions: only slices of it are walked
     for name, s in kernel_families() + [("example855", spanning_for(example855)[1])]:
         total = span_size(s)
-        for start in {0, total - 1, *rng.sample(range(total), min(6, total))}:
-            stop = min(start + 9, total)
-            expected = [codeword_path(s, k) for k in range(start, stop)]
-            assert list(iter_codeword_range(s, start, stop)) == expected, (name, start)
+        # starts at and past the end yield nothing, not wrapped-around words
+        for start in {0, total - 1, total, total + 5, *rng.sample(range(total), min(6, total))}:
+            expected = [codeword_path(s, k) for k in range(start, min(start + 9, total))]
+            assert list(iter_codeword_range(s, start, start + 9)) == expected, (name, start)
 
 
 def test_partition_chunks_concatenate_to_the_whole_packed_stream():
