@@ -289,13 +289,14 @@ def _cmd_dual(gens, report, args):
 
 
 def _cmd_oracle_check(gens, report, args):
-    # sequential: threads only slow this scan down, the closure dominates
+    # both sides are packed-int walks compared as int sets; run sequentially,
+    # since threads only slow a pure-Python scan down
     s, t = _enumerable(gens, report, args)
     enumerated = set(iter_packed_range(s, 0, 1 << t))
     oracle = module_closure(gens.generator_codewords(), budget=args.budget_enum)
     if not oracle.saturated:
         raise BudgetExceeded("module closure exceeded the enumeration budget")
-    equal = enumerated == set(map(gens.profile.packing.pack, oracle.elements))
+    equal = enumerated == oracle.words
     lines = [f"equal={'true' if equal else 'false'}",
              f"enumerated={len(enumerated)}",
              f"closure={len(oracle)}"]

@@ -6,35 +6,50 @@ shift.  That set is exactly the polynomial submodule the seeds generate:
 multiplication by x is the shift, and every scalar is an integer
 combination of shifts, so {+, shift} generate the whole scalar action.
 Everything else in the package is certified against this oracle at desk
-scale, so it deliberately stays naive: breadth-first saturation with the
-flat residue tuple as dedup key and no shortcuts borrowed from the code
-under test.
+scale, so it deliberately stays naive: breadth-first saturation with no
+shortcuts borrowed from the code under test (no cofactors, spanning
+sets or echelon bases).  It shares only the word layout of the scans,
+codespace.Packing: a sum is one int add and one & mask, and the shift
+is Packing.shift.  Sharing that is sound because the layout is pinned
+against Codeword arithmetic on its own (the tests check Packing.shift
+against cyclic_shift and the closure against a Codeword-level one).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .codespace import Codeword, cyclic_shift, from_flat
+from .codespace import Codeword, ProfileMismatch
 
 
 @dataclass(frozen=True)
 class ClosureResult:
-    elements: frozenset  # of flat residue tuples
+    words: frozenset  # of packed words (profile.packing)
     profile: object
     generator_count: int
     saturated: bool
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.words)
+
+    @functools.cached_property
+    def elements(self):
+        """The members as flat residue tuples."""
+        return frozenset(tuple(self.profile.packing.unpack(w)) for w in self.words)
 
     def __contains__(self, v):
-        return (v.flat() if isinstance(v, Codeword) else tuple(v)) in self.elements
+        if not isinstance(v, Codeword):
+            return tuple(v) in self.elements
+        if v.profile != self.profile:
+            raise ProfileMismatch("word and closure have different profiles")
+        return self.profile.packing.pack(v.flat()) in self.words
 
     def codewords(self):
-        """Members as Codewords in canonical lexicographic order."""
-        for flat in sorted(self.elements):
-            yield from_flat(self.profile, flat)
+        """Members as Codewords in canonical lexicographic order (int order
+        of packed words is flat() order)."""
+        for w in sorted(self.words):
+            yield self.profile.packing.codeword(w)
 
 
 def module_closure(seeds, budget=1 << 20) -> ClosureResult:
@@ -50,42 +65,37 @@ def module_closure(seeds, budget=1 << 20) -> ClosureResult:
     if not seeds:
         raise ValueError("need at least one seed codeword")
     profile = seeds[0].profile
-    zero = Codeword.zero(profile)
+    if any(s.profile != profile for s in seeds):
+        raise ProfileMismatch("seeds have different profiles")
+    packing = profile.packing
 
-    orbit = []
-    seen_orbit = set()
+    orbit = {}  # insertion-ordered set
     for s in seeds:
-        w = s
+        w = packing.pack(s.flat())
         for _ in range(profile.shift_order()):
-            key = w.flat()
-            if key not in seen_orbit:
-                seen_orbit.add(key)
-                orbit.append(w)
-            w = cyclic_shift(w)
+            orbit[w] = None
+            w = packing.shift(w)
 
-    elements = {zero.flat(): zero}
-    frontier = [zero]
+    mask = packing.mask
+    elements = {0}
+    frontier = [0]
     saturated = True
-    while frontier:
+    while frontier and saturated:
         next_frontier = []
         for b in frontier:
             for g in orbit:
-                c = b + g
-                key = c.flat()
-                if key not in elements:
+                c = (b + g) & mask
+                if c not in elements:
                     if len(elements) >= budget:
                         saturated = False
-                        frontier = []
-                        next_frontier = []
                         break
-                    elements[key] = c
+                    elements.add(c)
                     next_frontier.append(c)
-            else:
-                continue
-            break
+            if not saturated:
+                break
         frontier = next_frontier
 
     if saturated:
-        for b in list(elements.values()):
-            assert cyclic_shift(b).flat() in elements
+        for b in elements:
+            assert packing.shift(b) in elements
     return ClosureResult(frozenset(elements), profile, len(seeds), saturated)

@@ -91,6 +91,11 @@ class Packing:
         self.shifts = [8 * self.field_bytes * p for p in range(len(self.levels) - 1, -1, -1)]
         self.mask = sum(((1 << i) - 1) << e for i, e in zip(self.levels, self.shifts))
         self.template = "|".join(",".join(["%d"] * a) for a in profile.alphas)
+        # per block: the mask of its last field and the distance to its top field
+        ends = [sum(profile.alphas[:b + 1]) - 1 for b in range(profile.n)]
+        self.wraps = [(((1 << i) - 1) << self.shifts[p], 8 * self.field_bytes * (a - 1))
+                      for p, i, a in zip(ends, profile.levels(), profile.alphas)]
+        self.keep = self.mask ^ sum(m << d for m, d in self.wraps)
 
     def pack(self, flat):
         return sum(c << e for c, e in zip(flat, self.shifts))
@@ -106,6 +111,14 @@ class Packing:
 
     def codeword(self, w):
         return from_flat(self.profile, self.unpack(w))
+
+    def shift(self, w):
+        """The packed cyclic_shift: every field moves down one place, and each
+        block's last field moves to the block's top."""
+        out = (w >> 8 * self.field_bytes) & self.keep
+        for m, d in self.wraps:
+            out |= (w & m) << d
+        return out
 
     def multiples(self, w, count):
         """[0, w, 2w, ..., (count-1)w], by repeated addition."""

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mixedcyclic.codespace import AlphabetProfile, from_flat
+from mixedcyclic.codespace import AlphabetProfile, Codeword, cyclic_shift, from_flat
 from mixedcyclic.generators import StructuredGenerators
 from mixedcyclic.modring import Poly
 
@@ -79,6 +79,34 @@ def codeword_path(s, index):
         index, d = divmod(index, 1 << s.coeff_bits[(i, j)])
         acc = [a + d * c for a, c in zip(acc, row.flat())]
     return from_flat(s.profile, acc)
+
+
+def codeword_closure(seeds, budget=1 << 20):
+    """(flat tuples, saturated) of the breadth-first saturation of {0} + seeds
+    under addition and the shift, by Codeword arithmetic: each frontier word
+    plus every distinct shift of every seed, in that order, stopping at the
+    first new word past budget."""
+    orbit = list(dict.fromkeys(w for s in seeds for w in _orbit(s)))
+    zero = Codeword.zero(seeds[0].profile)
+    elements, frontier = {zero.flat()}, [zero]
+    while frontier:
+        next_frontier = []
+        for b in frontier:
+            for g in orbit:
+                c = b + g
+                if c.flat() not in elements:
+                    if len(elements) >= budget:
+                        return frozenset(elements), False
+                    elements.add(c.flat())
+                    next_frontier.append(c)
+        frontier = next_frontier
+    return frozenset(elements), True
+
+
+def _orbit(w):
+    for _ in range(w.profile.shift_order()):
+        yield w
+        w = cyclic_shift(w)
 
 
 def _absent(i, alpha):

@@ -74,10 +74,12 @@ def _golden_stdout(argv):
 
 
 @pytest.mark.parametrize("argv", [["mindist", f"{DOCS}/toy_n2.json", "--distribution"],
-                                  ["enum", f"{DOCS}/toy_n2.json"]])
+                                  ["enum", f"{DOCS}/toy_n2.json"],
+                                  ["oracle-check", f"{DOCS}/toy_n2.json"]])
 def test_tracer_sees_no_codeword_per_scanned_word(argv, capsys):
-    # the scan walks, weighs and prints packed words: fewer Codewords are
-    # built than the 64 words of the stream
+    # the scan walks, weighs and prints packed words, and the closure sums
+    # them: no Codeword addition, and fewer Codewords are built than the 64
+    # words of the stream (and of the closure)
     tracer = _load_tracer().Tracer(mixedcyclic)
     tracer.install()
     try:
@@ -86,6 +88,10 @@ def test_tracer_sees_no_codeword_per_scanned_word(argv, capsys):
     finally:
         tracer.uninstall()
     assert capsys.readouterr().out == _golden_stdout(argv)
+    closures = argv[0] == "oracle-check"
+    assert tracer.calls["closure.module_closure"] == closures
+    assert tracer.counts["closure.module_closure.elements"] == 64 * closures
+    assert tracer.calls["codespace.Codeword.__add__"] == 0
     assert tracer.calls["codespace.Codeword.__post_init__"] < 64
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, attr

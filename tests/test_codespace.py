@@ -59,6 +59,25 @@ def test_packing_layout(alphas, field_bytes):
         assert packing.codeword((pu + pv) & packing.mask) == u + v
 
 
+@pytest.mark.parametrize("alphas, field_bytes", [((3, 3), 1), ((2, 3, 1, 1, 1, 1, 1, 3, 2), 2),
+                                                 ((5,) + (1,) * 14 + (4,), 3)])
+def test_packed_shift_is_cyclic_shift(alphas, field_bytes):
+    # blocks longer than 1 at 1, 2 and 3 bytes a field, so a wrong rotation
+    # across a multi-byte field shows
+    prof = AlphabetProfile(alphas, allow_nonstandard=True)
+    packing = prof.packing
+    assert packing.field_bytes == field_bytes
+    rng = random.Random(20261018)
+    for _ in range(200):
+        v = from_flat(prof, [rng.randrange(1 << i) for i in packing.levels])
+        w = packing.pack(v.flat())
+        for _ in range(3):
+            v, w = cyclic_shift(v), packing.shift(w)
+            assert packing.codeword(w) == v
+    top = packing.pack([(1 << i) - 1 for i in packing.levels])
+    assert packing.shift(top) == top
+
+
 def test_shift_example():
     prof = AlphabetProfile((2, 3))
     v = Codeword(prof, ((1, 0), (0, 1, 2)))
