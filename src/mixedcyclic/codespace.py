@@ -87,6 +87,7 @@ class Packing:
         self.profile = profile
         self.field_bytes = -(-(profile.n + 1) // 8)
         self.levels = [i for i, a in enumerate(profile.alphas, start=1) for _ in range(a)]
+        self.scales = [profile.n - i for i in self.levels]  # block i embeds by 2^(n-i)
         self.nbytes = self.field_bytes * len(self.levels)
         self.shifts = [8 * self.field_bytes * p for p in range(len(self.levels) - 1, -1, -1)]
         self.mask = sum(((1 << i) - 1) << e for i, e in zip(self.levels, self.shifts))
@@ -119,6 +120,14 @@ class Packing:
         for m, d in self.wraps:
             out |= (w & m) << d
         return out
+
+    def embed(self, w):
+        """w over Z/2^n, block i times 2^(n-i): the pairing becomes the dot product mod 2^n."""
+        return [c << e for c, e in zip(self.unpack(w), self.scales)]
+
+    def unembed(self, row):
+        """Inverse of embed, for a row in its image with entries reduced mod 2^n."""
+        return self.pack([a >> e for a, e in zip(row, self.scales)])
 
     def multiples(self, w, count):
         """[0, w, 2w, ..., (count-1)w], by repeated addition."""

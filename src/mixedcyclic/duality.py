@@ -2,11 +2,12 @@
 
 The pairing weights block i by 2^(n-i) so that every block contributes
 mod 2^n:  u.v = sum_i 2^(n-i) <u_i, v_i> mod 2^n.  Scaling block i by
-2^(n-i) embeds C in (Z/2^n)^N, where the pairing becomes the plain dot
-product, so the dual is solved, not searched: dual_code takes the kernel
-mod 2^n of the code's echelon basis (a Howell form of [A^T | I]), reads
-it mod 2^i in block i, and lists its words as packed ints from an
-echelon basis, building each Codeword once.
+2^(n-i) (Packing.embed, the one home of the embedding) maps C into
+(Z/2^n)^N, where the pairing is the plain dot product, so the dual is
+solved, not searched: dual_code takes the kernel mod 2^n of the code's
+echelon basis (a Howell form of [A^T | I]), reduces it mod 2^i in block i
+and embeds it again on packed words, and builds a Codeword only for each
+dual word it lists.
 brute_force_dual is the cross-check: it scans the whole ambient module
 at desk scale and tests each vector against a spanning family (each
 generator with all of its shifts), which suffices because the pairing
@@ -24,12 +25,11 @@ from .codespace import (
     Codeword,
     ProfileMismatch,
     cyclic_shift,
-    from_flat,
     iter_space_range,
     partition_range,
 )
 from .modring import echelon_mod2k, echelon_reduce, transpose_echelon
-from .spanning import code_echelon, scale_shifts
+from .spanning import code_echelon
 
 
 def inner_product(u: Codeword, v: Codeword):
@@ -113,12 +113,11 @@ def dual_code(generators, profile, budget=1 << 20):
     Raises BudgetExceeded when the dual has more than budget words;
     otherwise lists each word once, in canonical lexicographic order.
     """
-    n, size = profile.n, sum(profile.alphas)
-    shifts = scale_shifts(profile)
+    n, size, packing = profile.n, sum(profile.alphas), profile.packing
     code = code_echelon(generators, profile)
     m = len(code)
     # the kernel of A mod 2^n, read mod 2^i in block i and embedded again, spans the embedded dual
-    kernel = [[c << e for c, e in zip(row[m:], shifts)]
+    kernel = [packing.embed(packing.pack(row[m:]) & packing.mask)
               for col, _, row in transpose_echelon([row for _, _, row in code], size, n) if col >= m]
     basis = echelon_mod2k(kernel, n)
     exponent = sum(n - v for _, v, _ in basis)
@@ -126,14 +125,11 @@ def dual_code(generators, profile, budget=1 << 20):
         "|C| * |C-perp| != |ambient|"
     if 1 << exponent > budget:
         raise BudgetExceeded(f"dual has 2^{exponent} words, budget {budget}")
-    rows = [from_flat(profile, [a >> e for a, e in zip(row, shifts)]) for _, _, row in basis]
+    rows = [packing.unembed(row) for _, _, row in basis]
     # the shift is additive: C-perp is shift-closed iff every shifted basis row is in it
-    cyclic = all(echelon_reduce([c << e for c, e in zip(cyclic_shift(w).flat(), shifts)], basis, n)
-                 is not None for w in rows)
-    packing = profile.packing
+    cyclic = all(echelon_reduce(packing.embed(packing.shift(w)), basis, n) is not None for w in rows)
     words = [0]
     for w, (_, v, _) in zip(rows, basis):  # multipliers c < 2^(n - v): every word once
-        multiples = packing.multiples(packing.pack(w.flat()), 1 << (n - v))
+        multiples = packing.multiples(w, 1 << (n - v))
         words = [(u + d) & packing.mask for u in words for d in multiples]
     return DualResult(tuple(map(packing.codeword, sorted(words))), cyclic)  # int order is flat() order
-

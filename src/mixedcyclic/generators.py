@@ -35,6 +35,7 @@ by the formal degrees diverge from the witness degrees.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .codespace import PolyTuple, from_polys
@@ -115,29 +116,31 @@ class StructuredGenerators:
 
     def a_total(self, i):
         """a_i = sum_j 2^j a_{ij}, reduced mod 2^i."""
-        total = Poly.zero(i)
-        for j in range(i):
-            total = total + self.a(i, j).scale(1 << j)
-        return total
+        return self._a_totals[i - 1]
 
     def generator_tuple(self, i):
         """Generator i as a polynomial tuple of the ambient module."""
-        polys = []
-        for c in range(1, self.profile.n + 1):
-            if c < i:
-                p = self.l(i, c).at_level(c).reduce_cyclic(self.profile.alpha(c))
-            elif c == i:
-                p = self.a_total(i).reduce_cyclic(self.profile.alpha(i))
-            else:
-                p = Poly.zero(c)
-            polys.append(p)
-        return PolyTuple(self.profile, tuple(polys))
+        return self._generators[i - 1]
 
     def generator_codeword(self, i):
         return from_polys(self.generator_tuple(i))
 
     def generator_codewords(self):
         return [self.generator_codeword(i) for i in self.profile.levels()]
+
+    # built on first use, once per family: __post_init__ runs inside load_code_spec
+    @functools.cached_property
+    def _a_totals(self):
+        return tuple(sum((self.a(i, j).scale(1 << j) for j in range(i)), Poly.zero(i))
+                     for i in self.profile.levels())
+
+    @functools.cached_property
+    def _generators(self):
+        prof = self.profile  # generator i: (l_{i1}, ..., l_{i,i-1}, a_i, 0, ..., 0)
+        return tuple(PolyTuple(prof, tuple(
+            [self.l(i, c).at_level(c).reduce_cyclic(prof.alpha(c)) for c in range(1, i)]
+            + [self.a_total(i).reduce_cyclic(prof.alpha(i))]
+            + [Poly.zero(c) for c in range(i + 1, prof.n + 1)])) for i in prof.levels())
 
     def unit_layers(self):
         """(i, j) of positive-degree layers that are units of Z/2^i[x].

@@ -20,9 +20,9 @@ used for threaded scans).  The walk runs on packed words (codespace.Packing),
 one add and one mask a step; Codewords are built only at the API edge.
 
 Membership is exact: these rows can miss part of C (unit layers, even
-leads), so it reduces the word against a strong echelon basis of C.
-code_echelon builds that basis from the generator words alone, with no
-cofactors, and the dual solve in duality starts from it too.
+leads), so it reduces the word against a strong echelon basis of C that
+code_echelon builds from the generators' packed shifts (no cofactors),
+put into Z/2^n by Packing.embed; the dual in duality starts from it too.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .codespace import (BudgetExceeded, Codeword, ProfileMismatch, cyclic_shift, from_flat,
-                        from_polys, scalar_action)
+from .codespace import (BudgetExceeded, Codeword, ProfileMismatch, cyclic_shift, from_polys,
+                        scalar_action)
 from .generators import Cofactors, StructuredGenerators
 from .modring import echelon_mod2k, echelon_reduce
 
@@ -183,27 +183,20 @@ def distinct_codewords(s: SpanningSet, budget=1 << 16):
     return seen, total
 
 
-def scale_shifts(profile):
-    """Per coordinate, the power of 2 that embeds block i into Z/2^n."""
-    return [profile.n - i for i, a in enumerate(profile.alphas, start=1) for _ in range(a)]
-
-
-def _embed(v: Codeword):
-    return [c << e for c, e in zip(v.flat(), scale_shifts(v.profile))]
-
-
 def code_echelon(words, profile):
-    """Echelon basis over Z/2^n of the code the words generate, embedded.
+    """Echelon basis over Z/2^n of the code the words generate, in Packing.embed form.
 
     Built from x^k * w, k < min(lcm alpha, sum alpha): the shift has order
     lcm alpha and is killed by prod (x^alpha_i - 1), monic of degree
     sum alpha, so every later shift is a Z-combination of these."""
+    packing = profile.packing
     shifts = min(profile.shift_order(), sum(profile.alphas))
     rows = []
     for w in words:
+        w = packing.pack(w.flat())
         for _ in range(shifts):
-            rows.append(_embed(w))
-            w = cyclic_shift(w)
+            rows.append(packing.embed(w))
+            w = packing.shift(w)
     return echelon_mod2k(rows, profile.n)
 
 
@@ -214,11 +207,9 @@ class Decomposition:
     coeffs: tuple
 
     def evaluate(self, s: SpanningSet) -> Codeword:
-        shifts = scale_shifts(s.profile)
-        acc = [0] * len(shifts)
-        for c, (_, _, row) in zip(self.coeffs, s.echelon):
-            acc = [a + c * p for a, p in zip(acc, row)]
-        return from_flat(s.profile, [a >> e for a, e in zip(acc, shifts)])  # reduced per block
+        terms = [[c * p for p in row] for c, (_, _, row) in zip(self.coeffs, s.echelon)]
+        packing, mod = s.profile.packing, 1 << s.profile.n
+        return packing.codeword(packing.unembed([sum(col) % mod for col in zip(*terms)]))
 
 
 def membership_test(v: Codeword, s: SpanningSet) -> Decomposition | None:
@@ -228,7 +219,8 @@ def membership_test(v: Codeword, s: SpanningSet) -> Decomposition | None:
     A word over another profile raises ProfileMismatch."""
     if v.profile != s.profile:
         raise ProfileMismatch(f"word profile {v.profile.alphas} vs code {s.profile.alphas}")
-    coeffs = echelon_reduce(_embed(v), s.echelon, s.profile.n)
+    packing = s.profile.packing
+    coeffs = echelon_reduce(packing.embed(packing.pack(v.flat())), s.echelon, s.profile.n)
     return None if coeffs is None else Decomposition(tuple(coeffs))
 
 

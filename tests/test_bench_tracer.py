@@ -113,3 +113,35 @@ def test_tracer_shows_dual_solves_without_scanning(capsys):
         assert tracer.calls[name] == 0, name
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, attr
+
+
+
+def _traced(call):
+    """(tracer, call()) with the tracer installed around the call, and every patch undone."""
+    tracer = _load_tracer().Tracer(mixedcyclic)
+    tracer.install()
+    try:
+        patched = list(tracer.patches)
+        result = call()
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, attr
+    return tracer, result
+
+
+def test_tracer_sees_the_855_dual_build_no_codeword_per_shift(capsys):
+    # the echelon build, the kernel and the shift-closure test stay on packed
+    # words: the (8,5,5) dual builds its n = 3 generators and its |C-perp| = 4
+    # words, and code_echelon alone builds none
+    argv = ["dual", f"{DOCS}/three_level_855.json"]
+    dual, code = _traced(lambda: mixedcyclic.cli.main(argv))
+    assert code == 0
+    assert capsys.readouterr().out == _golden_stdout(argv)
+    assert dual.calls["codespace.Codeword.__post_init__"] <= 3 + 4
+    with open(argv[1]) as fh:
+        gens = mixedcyclic.cli.load_code_spec(fh.read())
+    words = gens.generator_codewords()
+    echelon, basis = _traced(lambda: mixedcyclic.spanning.code_echelon(words, gens.profile))
+    assert echelon.calls["codespace.Codeword.__post_init__"] == 0
+    assert sum(3 - v for _, v, _ in basis) == 31  # |C| = 2^31

@@ -1,5 +1,6 @@
 """Ambient module: profiles, codewords, shift, scalar action, bijection."""
 
+import math
 import os
 import random
 
@@ -213,3 +214,23 @@ def test_partition_range_clamps_workers_to_cpu_count(monkeypatch):
     assert chunks == [(0, 1 << 15), (1 << 15, 1 << 16)]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert partition_range(1 << 16, 8) == [(0, 1 << 16)]
+
+
+def test_packing_embed_scales_block_i_by_2_to_the_n_minus_i():
+    # the rows of the kernel families (one byte a field, two for the n = 8 family)
+    # and random words of a random n = 16 profile (three bytes a field)
+    from conftest import kernel_families
+
+    words = [w for _, s in kernel_families() for w in s.row_codewords()]
+    rng = random.Random(20261019)
+    prof = AlphabetProfile([rng.choice([a for a in (1, 2, 3) if math.gcd(i, a) == 1])
+                            for i in range(1, 17)])
+    words += [from_flat(prof, [rng.randrange(1 << i) for i in prof.packing.levels])
+              for _ in range(200)]
+    assert {w.profile.packing.field_bytes for w in words} == {1, 2, 3}
+    for v in words:
+        packing, n = v.profile.packing, v.profile.n
+        w = packing.pack(v.flat())
+        scaled = [c * 2 ** (n - i) for i, block in enumerate(v.components, start=1) for c in block]
+        assert packing.embed(w) == scaled, v.to_text()
+        assert packing.unembed(packing.embed(w)) == w, v.to_text()

@@ -236,3 +236,27 @@ def test_failed_chain_is_a_gap_in_the_same_pass():
     with pytest.raises(NotADivisor) as err:
         report.require_cofactors()
     assert (err.value.level, err.value.index) == (1, 0)
+
+
+def test_each_level_is_built_once_per_family(example855, monkeypatch):
+    # a_total is the only caller of Poly.scale, once per layer a_{ij}: validation,
+    # the spanning set and its echelon basis all ask for a_i or generator i, and
+    # each a_i is still built once; an equal family builds its own
+    from mixedcyclic.generators import StructuredGenerators
+    from mixedcyclic.spanning import build_spanning_set
+
+    real = Poly.scale
+    scaled = []
+    monkeypatch.setattr(Poly, "scale", lambda p, c: scaled.append((p.k, c)) or real(p, c))
+    g = example855
+    report = validate_generators(g)
+    s = build_spanning_set(g, report.require_cofactors())
+    assert s.echelon
+    assert g.generator_codewords() == [g.generator_codeword(i) for i in (1, 2, 3)]
+    layers = sorted((i, 1 << j) for i in (1, 2, 3) for j in range(i))
+    assert sorted(scaled) == layers
+    assert g.generator_tuple(3) is g.generator_tuple(3)
+    assert g.generator_codewords() is not g.generator_codewords()  # a fresh list each call
+    twin = StructuredGenerators(g.profile, g.a_layers, g.l_mix)
+    assert twin.a_total(3) == g.a_total(3)
+    assert sorted(scaled) == sorted(layers * 2)

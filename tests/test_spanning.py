@@ -10,6 +10,7 @@ from mixedcyclic.closure import module_closure
 from mixedcyclic.codespace import (AlphabetProfile, BudgetExceeded, Codeword, ProfileMismatch,
                                    all_codewords, cyclic_shift, partition_range)
 from mixedcyclic.generators import derive_cofactors
+from mixedcyclic.modring import echelon_mod2k
 from mixedcyclic.spanning import (
     build_spanning_set,
     codeword_at_index,
@@ -28,6 +29,7 @@ from mixedcyclic.spanning import (
 
 from conftest import (EVEN_LEAD_A2, UNIT_LAYER_A2, codeword_path, family_33, kernel_families,
                       make_generators)
+from test_random_families import _random_family
 
 
 def spanning_for(g):
@@ -330,3 +332,24 @@ def test_enumeration_scales_each_row_once(binary7, toy2, tower111, monkeypatch):
         assert total == span_size(s)
         radices = [1 << s.coeff_bits[(i, j)] for (i, j, _), _ in s.rows]
         assert built <= total + sum(r - 1 for r in radices), (built, total)
+
+
+def _written_out_echelon(g):
+    """echelon_mod2k of the shifts x^k g_i, k < min(lcm alpha, sum alpha), taken
+    by Codeword arithmetic and embedded by hand: block i times 2^(n-i)."""
+    prof, rows = g.profile, []
+    for w in g.generator_codewords():
+        for _ in range(min(prof.shift_order(), sum(prof.alphas))):
+            rows.append([c << (prof.n - i) for i, b in enumerate(w.components, start=1) for c in b])
+            w = cyclic_shift(w)
+    return echelon_mod2k(rows, prof.n)
+
+
+def test_echelon_is_the_written_out_embedding(binary7, toy2, example855, tower111):
+    rng = random.Random(20240817)  # the 60 families of test_random_families
+    for g in [binary7, toy2, example855, tower111] + [_random_family(rng) for _ in range(60)]:
+        assert spanning_for(g)[1].echelon == _written_out_echelon(g), g.profile.alphas
+    assert spanning_for(toy2)[1].echelon == [
+        (0, 1, (2, 2, 0, 0, 0, 0)), (1, 1, (0, 2, 2, 0, 0, 0)), (2, 1, (0, 0, 2, 3, 1, 1)),
+        (3, 1, (0, 0, 0, 2, 2, 0)), (4, 1, (0, 0, 0, 0, 2, 2)), (5, 1, (0, 0, 0, 0, 0, 2))]
+    assert spanning_for(tower111)[1].echelon == [(1, 2, (0, 4, 0)), (2, 1, (0, 0, 2))]
