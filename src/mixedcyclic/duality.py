@@ -28,7 +28,7 @@ from .codespace import (
     iter_space_range,
     partition_range,
 )
-from .modring import echelon_mod2k, echelon_reduce, transpose_echelon
+from .modring import echelon_mod2k, transpose_echelon
 from .spanning import code_echelon
 
 
@@ -127,7 +127,7 @@ def dual_code(generators, profile, budget=1 << 20):
         raise BudgetExceeded(f"dual has 2^{exponent} words, budget {budget}")
     rows = [packing.unembed(row) for _, _, row in basis]
     # the shift is additive: C-perp is shift-closed iff every shifted basis row is in it
-    cyclic = all(echelon_reduce(packing.embed(packing.shift(w)), basis, n) is not None for w in rows)
+    cyclic = all(basis.reduce(basis.pack(packing.embed(packing.shift(w)))) is not None for w in rows)
     words = [0]
     for w, (_, v, _) in zip(rows, basis):  # multipliers c < 2^(n - v): every word once
         multiples = packing.multiples(w, 1 << (n - v))

@@ -191,11 +191,6 @@ class LinearSystem:
         object.__setattr__(self, "rhs", tuple(b % mod for b in self.rhs))
 
 
-def _val2(c, k):
-    """2-adic valuation inside Z/2^k; k for the zero residue."""
-    return (c & -c).bit_length() - 1 if c else k
-
-
 def solve_linear_mod2k(sys: LinearSystem):
     """One solution of A*x = b over Z/2^k, or None.
 
@@ -208,35 +203,95 @@ def solve_linear_mod2k(sys: LinearSystem):
     """
     k, r = sys.k, len(sys.matrix)
     ncols = len(sys.matrix[0]) if r else 0
-    image = [(col, v, row) for col, v, row in transpose_echelon(sys.matrix, ncols, k) if col < r]
-    coeffs = echelon_reduce(sys.rhs, [(col, v, row[:r]) for col, v, row in image], k)
+    image = [row for col, _, row in transpose_echelon(sys.matrix, ncols, k) if col < r]
+    # the heads are a Howell form already, so inserted last first each one is its own pivot
+    heads = Howell(r, k)
+    for row in reversed(image):
+        heads.insert(heads.pack(row[:r]))
+    coeffs = heads.reduce(heads.pack(sys.rhs))
     if coeffs is None:
         return None
-    return [sum(q * row[r + j] for q, (_, _, row) in zip(coeffs, image)) % (1 << k)
-            for j in range(ncols)]
+    return [sum(q * row[r + j] for q, row in zip(coeffs, image)) % (1 << k) for j in range(ncols)]
+
+
+class Howell:
+    """Strong echelon (Howell) form over Z/2^k of a row span, built one row at a time.
+
+    A row is one int: column 0 fills the most significant field, and each
+    field is 2k+1 bits wide.  Each pivot keeps (2^k - p) mod 2^k per field,
+    so clearing q < 2^k times it from a row is one multiply, one add and
+    one & mask: a field stays below 2^k + (2^k - 1)^2 < 2^(2k+1), and
+    nothing carries across fields (the packed rows of M4RI).  Pivots read
+    out as (col, v, row) in column order, each leading with exactly 2^v;
+    they span 2^sum(k - v) words (Storjohann-Mulders 1998).
+    """
+
+    def __init__(self, ncols, k):
+        self.ncols, self.k, self.width, self.low = ncols, k, 2 * k + 1, (1 << k) - 1
+        self.shifts = [self.width * c for c in range(ncols - 1, -1, -1)]
+        ones = sum(1 << e for e in self.shifts)
+        self.mask, self.top = self.low * ones, ones << k  # top: 2^k in every field
+        self.pivots = {}  # col -> (v, row, (2^k - row) mod 2^k)
+
+    def pack(self, entries):
+        row = 0
+        for c in entries:
+            row = (row << self.width) | (c & self.low)
+        return row
+
+    def insert(self, row):
+        """Add the packed row to the span; True when the span grew.
+
+        A row that takes a column (free, or held by a pivot of larger
+        valuation) becomes its pivot, normalised to lead with 2^v; its
+        saturation 2^(k-v)*row, then any pivot it displaced, go in next."""
+        k, width, mask = self.k, self.width, self.mask
+        grew, todo = False, [row]
+        while todo:
+            row = todo.pop()
+            while row:
+                col = self.ncols - 1 - (row.bit_length() - 1) // width
+                e = (row >> self.shifts[col]) & self.low
+                v = (e & -e).bit_length() - 1
+                pivot = self.pivots.get(col)
+                if pivot is not None and v >= pivot[0]:
+                    row = (row + (e >> pivot[0]) * pivot[2]) & mask
+                    continue
+                row = row * pow(e >> v, -1, 1 << k) & mask
+                self.pivots[col] = (v, row, (self.top - row) & mask)
+                if pivot is not None:
+                    todo.append(pivot[1])
+                grew = True
+                row = (row << (k - v)) & mask
+        return grew
+
+    def reduce(self, row):
+        """Multipliers c < 2^(k - v) writing the packed row over the pivots, in
+        column order, or None when the row is not in the span."""
+        coeffs = []
+        for col in sorted(self.pivots):
+            v, _, neg = self.pivots[col]
+            c = (row >> self.shifts[col]) & self.low
+            if c & ((1 << v) - 1):
+                return None
+            coeffs.append(c >> v)
+            row = (row + (c >> v) * neg) & self.mask
+        return None if row else coeffs
+
+    def __len__(self):
+        return len(self.pivots)
+
+    def __iter__(self):
+        for col in sorted(self.pivots):
+            v, row, _ = self.pivots[col]
+            yield col, v, tuple((row >> e) & self.low for e in self.shifts)
 
 
 def echelon_mod2k(rows, k):
-    """Strong echelon (Howell) basis of the Z-span of rows over Z/2^k.
-
-    Per column, a row of least valuation v is normalised to lead with 2^v
-    and clears the column; 2^(k-v) times it goes back into the pool.  The
-    (col, v, row) pivots span 2^sum(k - v) words (Storjohann-Mulders 1998).
-    """
-    mod = 1 << k
-    pool = [r for r in ([c % mod for c in row] for row in rows) if any(r)]
-    basis = []
-    for col in range(len(pool[0]) if pool else 0):
-        lead = [(_val2(r[col], k), t) for t, r in enumerate(pool) if r[col]]
-        if not lead:
-            continue
-        v, t = min(lead)
-        inv = pow(pool[t][col] >> v, -1, mod)
-        pivot = [c * inv % mod for c in pool.pop(t)]
-        rest = [[(a - (r[col] >> v) * p) % mod for a, p in zip(r, pivot)] if r[col] else r
-                for r in pool] + [[(c << (k - v)) % mod for c in pivot]]
-        pool = [r for r in rest if any(r)]
-        basis.append((col, v, tuple(pivot)))
+    """Howell form over Z/2^k of the Z-span of rows (equal-length lists), inserted in order."""
+    basis = Howell(len(rows[0]) if rows else 0, k)
+    for row in rows:
+        basis.insert(basis.pack(row))
     return basis
 
 
@@ -251,21 +306,6 @@ def transpose_echelon(matrix, ncols, k):
     """
     return echelon_mod2k([[row[j] for row in matrix] + [int(j == c) for c in range(ncols)]
                           for j in range(ncols)], k)
-
-
-def echelon_reduce(x, basis, k):
-    """Multipliers c_r < 2^(k - v_r) writing x over an echelon_mod2k basis, or None."""
-    mod = 1 << k
-    x = [c % mod for c in x]
-    coeffs = []
-    for col, v, row in basis:
-        if x[col] % (1 << v):
-            return None
-        q = x[col] >> v
-        coeffs.append(q)
-        if q:
-            x = [(a - q * p) % mod for a, p in zip(x, row)]
-    return None if any(x) else coeffs
 
 
 def divides_witness(f: Poly, g: Poly, alpha: int | None = None):

@@ -20,9 +20,9 @@ used for threaded scans).  The walk runs on packed words (codespace.Packing),
 one add and one mask a step; Codewords are built only at the API edge.
 
 Membership is exact: these rows can miss part of C (unit layers, even
-leads), so it reduces the word against a strong echelon basis of C that
-code_echelon builds from the generators' packed shifts (no cofactors),
-put into Z/2^n by Packing.embed; the dual in duality starts from it too.
+leads), so it reduces the packed, embedded word against the Howell form of
+C that code_echelon builds from the generators (no cofactors), one shift at
+a time until a shift adds nothing; the dual in duality starts from it too.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from .codespace import (BudgetExceeded, Codeword, ProfileMismatch, cyclic_shift, from_polys,
                         scalar_action)
 from .generators import Cofactors, StructuredGenerators
-from .modring import echelon_mod2k, echelon_reduce
+from .modring import Howell
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class SpanningSet:
 
     @functools.cached_property
     def echelon(self):
-        """Echelon basis of C, built once per spanning set."""
+        """Howell form of C (code_echelon), built once per spanning set."""
         return code_echelon(self.family.generator_codewords(), self.profile)
 
     def row_codewords(self):
@@ -184,20 +184,20 @@ def distinct_codewords(s: SpanningSet, budget=1 << 16):
 
 
 def code_echelon(words, profile):
-    """Echelon basis over Z/2^n of the code the words generate, in Packing.embed form.
+    """Howell form over Z/2^n of the code the words generate, in Packing.embed form.
 
-    Built from x^k * w, k < min(lcm alpha, sum alpha): the shift has order
-    lcm alpha and is killed by prod (x^alpha_i - 1), monic of degree
-    sum alpha, so every later shift is a Z-combination of these."""
+    Each word's orbit goes in one shift at a time and stops at the first
+    x^k w the span already holds.  That is exact: the module M of the
+    earlier words is shift-closed, so if x^k w lies in M + span(w, ...,
+    x^(k-1) w), that sum is shift-closed too and holds every later shift.
+    The orbit needs no bound, since x^lcm(alpha) w = w."""
     packing = profile.packing
-    shifts = min(profile.shift_order(), sum(profile.alphas))
-    rows = []
+    basis = Howell(sum(profile.alphas), profile.n)
     for w in words:
         w = packing.pack(w.flat())
-        for _ in range(shifts):
-            rows.append(packing.embed(w))
+        while basis.insert(basis.pack(packing.embed(w))):
             w = packing.shift(w)
-    return echelon_mod2k(rows, profile.n)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -219,8 +219,8 @@ def membership_test(v: Codeword, s: SpanningSet) -> Decomposition | None:
     A word over another profile raises ProfileMismatch."""
     if v.profile != s.profile:
         raise ProfileMismatch(f"word profile {v.profile.alphas} vs code {s.profile.alphas}")
-    packing = s.profile.packing
-    coeffs = echelon_reduce(packing.embed(packing.pack(v.flat())), s.echelon, s.profile.n)
+    packing, basis = s.profile.packing, s.echelon
+    coeffs = basis.reduce(basis.pack(packing.embed(packing.pack(v.flat()))))
     return None if coeffs is None else Decomposition(tuple(coeffs))
 
 

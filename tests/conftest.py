@@ -103,6 +103,64 @@ def codeword_closure(seeds, budget=1 << 20):
     return frozenset(elements), True
 
 
+def pool_echelon(rows, k):
+    """Howell basis of the Z-span of rows over Z/2^k by whole-pool elimination,
+    as (col, v, row) pivots in column order: per column, a row of least
+    valuation v (the first such row of the pool) is normalised to lead with
+    2^v and clears the column from every other row, and 2^(k-v) times it goes
+    back into the pool.  The reference the packed Howell engine is checked
+    against."""
+    mod = 1 << k
+    pool = [r for r in ([c % mod for c in row] for row in rows) if any(r)]
+    basis = []
+    for col in range(len(pool[0]) if pool else 0):
+        lead = [((r[col] & -r[col]).bit_length() - 1, t) for t, r in enumerate(pool) if r[col]]
+        if not lead:
+            continue
+        v, t = min(lead)
+        inv = pow(pool[t][col] >> v, -1, mod)
+        pivot = [c * inv % mod for c in pool.pop(t)]
+        rest = [[(a - (r[col] >> v) * p) % mod for a, p in zip(r, pivot)] if r[col] else r
+                for r in pool] + [[(c << (k - v)) % mod for c in pivot]]
+        pool = [r for r in rest if any(r)]
+        basis.append((col, v, tuple(pivot)))
+    return basis
+
+
+def pool_reduce(x, basis, k):
+    """Multipliers c_r < 2^(k - v_r) writing x over a list of (col, v, row)
+    pivots in column order, or None when x does not reduce to zero."""
+    mod = 1 << k
+    x = [c % mod for c in x]
+    coeffs = []
+    for col, v, row in basis:
+        if x[col] % (1 << v):
+            return None
+        q = x[col] >> v
+        coeffs.append(q)
+        if q:
+            x = [(a - q * p) % mod for a, p in zip(x, row)]
+    return None if any(x) else coeffs
+
+
+def same_module(basis, reference, k):
+    """Whether a Howell engine and a pool_echelon basis span one module over
+    Z/2^k: equal sum(k - v), and each reduces the other's rows to zero."""
+    return (sum(k - v for _, v, _ in basis) == sum(k - v for _, v, _ in reference)
+            and all(basis.reduce(basis.pack(row)) is not None for _, _, row in reference)
+            and all(pool_reduce(row, reference, k) is not None for _, _, row in basis))
+
+
+def written_out_rows(g):
+    """Every shift x^k g_i, k < lcm alpha, taken by Codeword arithmetic and
+    embedded into Z/2^n by hand: block i times 2^(n-i)."""
+    prof, rows = g.profile, []
+    for gen in g.generator_codewords():
+        for w in _orbit(gen):
+            rows.append([c << (prof.n - i) for i, b in enumerate(w.components, start=1) for c in b])
+    return rows
+
+
 def _orbit(w):
     for _ in range(w.profile.shift_order()):
         yield w

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedcyclic.modring import (
     LinearSystem,
@@ -11,10 +13,14 @@ from mixedcyclic.modring import (
     Poly,
     all_polys,
     divides_witness,
+    echelon_mod2k,
     poly_divmod_unit_lead,
     poly_mul,
     solve_linear_mod2k,
 )
+
+from conftest import kernel_families, pool_echelon, pool_reduce, same_module, written_out_rows
+from test_random_families import _random_family
 
 
 def P(coeffs, k):
@@ -239,3 +245,55 @@ def test_divides_witness_returns_the_plain_quotient_for_unit_lead():
         assert r.is_zero()
         for ring in (None, alpha):
             assert divides_witness(f, g, ring) == q, (f, g, ring)
+
+
+def _engine_cases():
+    """(rows, k): the written-out embedded orbits of the 60 seeded families and
+    of kernel_families(), random matrices, and the field-width edge, where
+    entries and multipliers reach 2^k - 1 at k = 8 and k = 16."""
+    rng = random.Random(20240817)  # the 60 families of test_random_families
+    families = [_random_family(rng) for _ in range(60)] + [s.family for _, s in kernel_families()]
+    cases = [(written_out_rows(g), g.profile.n) for g in families]
+    rng = random.Random(13)
+    for k in (1, 2, 3, 5, 8):
+        for _ in range(20):
+            ncols = rng.randint(1, 7)
+            cases.append(([[rng.randrange(1 << k) for _ in range(ncols)]
+                           for _ in range(rng.randint(0, 9))], k))
+    for k in (8, 16):
+        top = (1 << k) - 1
+        cases.append(([[top] * 5, [1, top, top, 2, top], [top, 1, top, top, 0]], k))
+        for _ in range(20):
+            cases.append(([[rng.choice((0, 1, top, top - 1, 1 << (k - 1), rng.randrange(top)))
+                            for _ in range(6)] for _ in range(rng.randint(1, 8))], k))
+    return cases
+
+
+def test_howell_engine_spans_the_pool_eliminator_module():
+    for rows, k in _engine_cases():
+        assert same_module(echelon_mod2k(rows, k), pool_echelon(rows, k), k), (rows, k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_howell_engine_properties(data):
+    k = data.draw(st.integers(1, 5), label="k")
+    ncols = data.draw(st.integers(1, 6), label="ncols")
+    entry = st.integers(0, (1 << k) - 1)
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8),
+                     label="rows")
+    basis = echelon_mod2k(rows, k)
+    pivots = list(basis)
+    assert len(basis) == len(pivots)
+    assert [col for col, _, _ in pivots] == sorted({col for col, _, _ in pivots})
+    for row in rows:
+        coeffs = basis.reduce(basis.pack(row))
+        assert coeffs is not None and len(coeffs) == len(pivots)
+        assert all(0 <= c < 1 << (k - v) for c, (_, v, _) in zip(coeffs, pivots))
+        assert [sum(c * p[x] for c, (_, _, p) in zip(coeffs, pivots)) % (1 << k)
+                for x in range(ncols)] == row
+    for t, (col, v, row) in enumerate(pivots):
+        assert row[:col] == (0,) * col and row[col] == 1 << v
+        # the Howell property: the saturation lies in the span of the later pivots
+        assert pool_reduce([(c << (k - v)) % (1 << k) for c in row], pivots[t + 1:], k) is not None
+    assert sum(k - v for _, v, _ in pivots) == sum(k - v for _, v, _ in pool_echelon(rows, k))

@@ -7,10 +7,9 @@ import pytest
 
 import mixedcyclic.spanning as spanning
 from mixedcyclic.closure import module_closure
-from mixedcyclic.codespace import (AlphabetProfile, BudgetExceeded, Codeword, ProfileMismatch,
-                                   all_codewords, cyclic_shift, partition_range)
+from mixedcyclic.codespace import (AlphabetProfile, BudgetExceeded, Codeword, Packing,
+                                   ProfileMismatch, all_codewords, cyclic_shift, partition_range)
 from mixedcyclic.generators import derive_cofactors
-from mixedcyclic.modring import echelon_mod2k
 from mixedcyclic.spanning import (
     build_spanning_set,
     codeword_at_index,
@@ -28,7 +27,7 @@ from mixedcyclic.spanning import (
 )
 
 from conftest import (EVEN_LEAD_A2, UNIT_LAYER_A2, codeword_path, family_33, kernel_families,
-                      make_generators)
+                      make_generators, pool_echelon, same_module, written_out_rows)
 from test_random_families import _random_family
 
 
@@ -230,7 +229,7 @@ def test_membership_matches_closure_where_the_rows_fall_short(a_2):
 
 
 def test_echelon_exponent_equals_closure_size(binary7, toy2, example855, tower111):
-    # (2, 3): lcm 6 exceeds sum alpha = 5, so the basis leaves out shift 5
+    # (2, 3): the orbit, of length lcm 6, is longer than sum alpha = 5
     pair23 = make_generators([2, 3], [[[1, 1]], [[1, 1, 1], [1]]], [[[1]]])
     for g in (binary7, toy2, tower111, family_33(UNIT_LAYER_A2), family_33(EVEN_LEAD_A2), pair23):
         _, s = spanning_for(g)
@@ -251,8 +250,9 @@ def test_membership_rejects_a_word_over_another_profile(toy2, alphas):
 
 def test_words_tested_on_one_set_share_one_echelon_build(toy2, monkeypatch):
     builds = []
-    real = spanning.echelon_mod2k
-    monkeypatch.setattr(spanning, "echelon_mod2k", lambda rows, k: builds.append(k) or real(rows, k))
+    real = spanning.code_echelon
+    monkeypatch.setattr(spanning, "code_echelon",
+                        lambda words, profile: builds.append(profile.n) or real(words, profile))
     _, s = spanning_for(toy2)
     oracle = module_closure(toy2.generator_codewords())
     for w in itertools.islice(all_codewords(toy2.profile), 4):
@@ -334,22 +334,24 @@ def test_enumeration_scales_each_row_once(binary7, toy2, tower111, monkeypatch):
         assert built <= total + sum(r - 1 for r in radices), (built, total)
 
 
-def _written_out_echelon(g):
-    """echelon_mod2k of the shifts x^k g_i, k < min(lcm alpha, sum alpha), taken
-    by Codeword arithmetic and embedded by hand: block i times 2^(n-i)."""
-    prof, rows = g.profile, []
-    for w in g.generator_codewords():
-        for _ in range(min(prof.shift_order(), sum(prof.alphas))):
-            rows.append([c << (prof.n - i) for i, b in enumerate(w.components, start=1) for c in b])
-            w = cyclic_shift(w)
-    return echelon_mod2k(rows, prof.n)
-
-
 def test_echelon_is_the_written_out_embedding(binary7, toy2, example855, tower111):
     rng = random.Random(20240817)  # the 60 families of test_random_families
     for g in [binary7, toy2, example855, tower111] + [_random_family(rng) for _ in range(60)]:
-        assert spanning_for(g)[1].echelon == _written_out_echelon(g), g.profile.alphas
-    assert spanning_for(toy2)[1].echelon == [
+        reference = pool_echelon(written_out_rows(g), g.profile.n)
+        assert same_module(spanning_for(g)[1].echelon, reference, g.profile.n), g.profile.alphas
+    assert list(spanning_for(toy2)[1].echelon) == [
         (0, 1, (2, 2, 0, 0, 0, 0)), (1, 1, (0, 2, 2, 0, 0, 0)), (2, 1, (0, 0, 2, 3, 1, 1)),
-        (3, 1, (0, 0, 0, 2, 2, 0)), (4, 1, (0, 0, 0, 0, 2, 2)), (5, 1, (0, 0, 0, 0, 0, 2))]
-    assert spanning_for(tower111)[1].echelon == [(1, 2, (0, 4, 0)), (2, 1, (0, 0, 2))]
+        (3, 1, (0, 0, 0, 2, 2, 2)), (4, 1, (0, 0, 0, 0, 2, 0)), (5, 1, (0, 0, 0, 0, 0, 2))]
+    assert list(spanning_for(tower111)[1].echelon) == [(1, 2, (0, 4, 0)), (2, 1, (0, 0, 2))]
+
+
+def test_855_echelon_stops_each_orbit_at_the_first_shift_that_adds_nothing(example855,
+                                                                           monkeypatch):
+    shifts = []
+    real = Packing.shift
+    monkeypatch.setattr(Packing, "shift", lambda self, w: shifts.append(w) or real(self, w))
+    basis = spanning.code_echelon(example855.generator_codewords(), example855.profile)
+    assert sum(3 - v for _, v, _ in basis) == 31
+    # each orbit stops at its first shift already in the span; taking min(lcm, sum alpha) = 18
+    # shifts of each of the 3 generators would be 54
+    assert len(shifts) == 16
