@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mixedcyclic.codespace import AlphabetProfile, Codeword, cyclic_shift, from_flat
+from mixedcyclic.codespace import AlphabetProfile, Codeword
 from mixedcyclic.generators import StructuredGenerators
 from mixedcyclic.modring import Poly
 
@@ -71,36 +71,51 @@ def family_33(a_2):
 
 
 def codeword_path(s, index):
-    """Position index of the enumeration of s by Codeword arithmetic: digit t
-    of index (radix 2^coeff_bits of row t, digit 0 fastest) times row t,
-    summed and reduced by Codeword itself."""
-    acc = [0] * sum(s.profile.alphas)
+    """Position index of the enumeration of s, summed over plain tuples: digit t
+    of index (radix 2^coeff_bits of row t, digit 0 fastest) times row t, with
+    coordinate p reduced mod 2^(its level) by hand; only the result becomes a
+    Codeword."""
+    levels = [i for i, a in enumerate(s.profile.alphas, start=1) for _ in range(a)]
+    acc = [0] * len(levels)
     for (i, j, _), row in s.rows:
         index, d = divmod(index, 1 << s.coeff_bits[(i, j)])
         acc = [a + d * c for a, c in zip(acc, row.flat())]
-    return from_flat(s.profile, acc)
+    return Codeword(s.profile, _blocks(s.profile, [a % (1 << i) for a, i in zip(acc, levels)]))
 
 
 def codeword_closure(seeds, budget=1 << 20):
     """(flat tuples, saturated) of the breadth-first saturation of {0} + seeds
-    under addition and the shift, by Codeword arithmetic: each frontier word
-    plus every distinct shift of every seed, in that order, stopping at the
-    first new word past budget."""
-    orbit = list(dict.fromkeys(w for s in seeds for w in _orbit(s)))
-    zero = Codeword.zero(seeds[0].profile)
-    elements, frontier = {zero.flat()}, [zero]
+    under addition and the shift, over plain tuples of blocks (block i added
+    mod 2^i, every block rotated right one place): each frontier word plus
+    every distinct shift of every seed, in that order, stopping at the first
+    new word past budget."""
+    profile = seeds[0].profile
+    orbit = list(dict.fromkeys(w for s in seeds for w in _orbit(s.components, profile)))
+    zero = tuple((0,) * a for a in profile.alphas)
+    elements, frontier = {_flat(zero)}, [zero]
     while frontier:
         next_frontier = []
         for b in frontier:
             for g in orbit:
-                c = b + g
-                if c.flat() not in elements:
+                c = tuple(tuple((x + y) % (1 << i) for x, y in zip(u, v))
+                          for i, (u, v) in enumerate(zip(b, g), start=1))
+                if _flat(c) not in elements:
                     if len(elements) >= budget:
                         return frozenset(elements), False
-                    elements.add(c.flat())
+                    elements.add(_flat(c))
                     next_frontier.append(c)
         frontier = next_frontier
     return frozenset(elements), True
+
+
+def _flat(blocks):
+    return tuple(c for b in blocks for c in b)
+
+
+def _blocks(profile, flat):
+    """flat cut into blocks of the profile's lengths."""
+    cuts = [sum(profile.alphas[:i]) for i in range(profile.n + 1)]
+    return tuple(tuple(flat[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
 
 
 def pool_echelon(rows, k):
@@ -152,19 +167,21 @@ def same_module(basis, reference, k):
 
 
 def written_out_rows(g):
-    """Every shift x^k g_i, k < lcm alpha, taken by Codeword arithmetic and
-    embedded into Z/2^n by hand: block i times 2^(n-i)."""
+    """Every shift x^k g_i, k < lcm alpha, taken by rotating tuples of blocks
+    and embedded into Z/2^n by hand: block i times 2^(n-i)."""
     prof, rows = g.profile, []
     for gen in g.generator_codewords():
-        for w in _orbit(gen):
-            rows.append([c << (prof.n - i) for i, b in enumerate(w.components, start=1) for c in b])
+        for blocks in _orbit(gen.components, prof):
+            rows.append([c << (prof.n - i) for i, b in enumerate(blocks, start=1) for c in b])
     return rows
 
 
-def _orbit(w):
-    for _ in range(w.profile.shift_order()):
-        yield w
-        w = cyclic_shift(w)
+def _orbit(blocks, profile):
+    """blocks and its rotations, every block turned right one place a step,
+    one per shift up to the shift order."""
+    for _ in range(profile.shift_order()):
+        yield blocks
+        blocks = tuple(b[-1:] + b[:-1] for b in blocks)
 
 
 def _absent(i, alpha):
