@@ -29,7 +29,6 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 from .closure import module_closure
 from .codespace import AlphabetProfile, BudgetExceeded, partition_range
@@ -55,13 +54,10 @@ class SchemaError(ValueError):
     """Malformed code document; the message carries the offending path."""
 
 
-@dataclass
 class RunReport:
-    command: str
-    digest: str
-    payload: dict
-    warnings: list = field(default_factory=list)
-    wall_time: float = 0.0
+    def __init__(self, command, digest, payload, warnings=(), wall_time=0.0):
+        self.command, self.digest, self.payload = command, digest, payload
+        self.warnings, self.wall_time = list(warnings), wall_time
 
     def to_json(self):
         doc = {

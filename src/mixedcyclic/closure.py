@@ -11,24 +11,21 @@ shortcuts borrowed from the code under test (no cofactors, spanning
 sets or echelon bases).  It shares only the word layout of the scans,
 codespace.Packing: a sum is one int add and one & mask, and the shift
 is Packing.shift.  Sharing that is sound because the layout is pinned
-against Codeword arithmetic on its own (the tests check Packing.shift
-against cyclic_shift and the closure against a Codeword-level one).
+against plain tuple arithmetic on its own (the tests check the closure
+against a saturation that adds blocks mod 2^i and rotates tuples).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .codespace import Codeword, ProfileMismatch
 
 
-@dataclass(frozen=True)
 class ClosureResult:
-    words: frozenset  # of packed words (profile.packing)
-    profile: object
-    generator_count: int
-    saturated: bool
+    def __init__(self, words, profile, generator_count, saturated):
+        self.words = words  # frozenset of packed words (profile.packing)
+        self.profile, self.generator_count, self.saturated = profile, generator_count, saturated
 
     def __len__(self):
         return len(self.words)
@@ -43,7 +40,7 @@ class ClosureResult:
             return tuple(v) in self.elements
         if v.profile != self.profile:
             raise ProfileMismatch("word and closure have different profiles")
-        return self.profile.packing.pack(v.flat()) in self.words
+        return v.w in self.words
 
     def codewords(self):
         """Members as Codewords in canonical lexicographic order (int order
@@ -71,7 +68,7 @@ def module_closure(seeds, budget=1 << 20) -> ClosureResult:
 
     orbit = {}  # insertion-ordered set
     for s in seeds:
-        w = packing.pack(s.flat())
+        w = s.w
         for _ in range(profile.shift_order()):
             orbit[w] = None
             w = packing.shift(w)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field
 
 from .modring import Poly
 
@@ -28,17 +27,14 @@ class BudgetExceeded(RuntimeError):
     """A scan or enumeration would exceed the caller-supplied budget."""
 
 
-@dataclass(frozen=True)
 class AlphabetProfile:
     """Shape (n; alpha_1..alpha_n) of the ambient module.
 
     The standing assumption gcd(i, alpha_i) = 1 is checked at construction;
     pass allow_nonstandard=True to keep a violating profile, which is then
-    tagged nonstandard so reports can propagate the warning.
+    tagged nonstandard so reports can propagate the warning.  Profiles are
+    equal when their alphas are.
     """
-
-    alphas: tuple
-    nonstandard: bool = field(default=False, compare=False)
 
     def __init__(self, alphas, allow_nonstandard=False):
         alphas = tuple(int(a) for a in alphas)
@@ -50,8 +46,16 @@ class AlphabetProfile:
                 f"gcd(i, alpha_i) != 1 at level(s) {bad}; "
                 "pass allow_nonstandard=True to keep this profile"
             )
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "nonstandard", bool(bad))
+        self.alphas, self.nonstandard = alphas, bool(bad)
+
+    def __eq__(self, other):
+        return other.__class__ is AlphabetProfile and self.alphas == other.alphas
+
+    def __hash__(self):
+        return hash(self.alphas)
+
+    def __repr__(self):
+        return f"AlphabetProfile({self.alphas!r})"
 
     @property
     def n(self):
@@ -90,15 +94,21 @@ class Packing:
         self.scales = [profile.n - i for i in self.levels]  # block i embeds by 2^(n-i)
         self.nbytes = self.field_bytes * len(self.levels)
         self.shifts = [8 * self.field_bytes * p for p in range(len(self.levels) - 1, -1, -1)]
-        self.mask = sum(((1 << i) - 1) << e for i, e in zip(self.levels, self.shifts))
+        self.lows = [(1 << i) - 1 for i in self.levels]
+        self.mask = sum(m << e for m, e in zip(self.lows, self.shifts))
+        self.top = sum(1 << (i + e) for i, e in zip(self.levels, self.shifts))  # 2^i a field
+        cuts = [sum(profile.alphas[:b]) for b in range(profile.n + 1)]
+        self.blocks = list(zip(cuts, cuts[1:]))  # flat() slice of each block
         self.template = "|".join(",".join(["%d"] * a) for a in profile.alphas)
         # per block: the mask of its last field and the distance to its top field
-        ends = [sum(profile.alphas[:b + 1]) - 1 for b in range(profile.n)]
-        self.wraps = [(((1 << i) - 1) << self.shifts[p], 8 * self.field_bytes * (a - 1))
-                      for p, i, a in zip(ends, profile.levels(), profile.alphas)]
+        self.wraps = [(((1 << i) - 1) << self.shifts[hi - 1], 8 * self.field_bytes * (a - 1))
+                      for (_, hi), i, a in zip(self.blocks, profile.levels(), profile.alphas)]
         self.keep = self.mask ^ sum(m << d for m, d in self.wraps)
 
     def pack(self, flat):
+        """The word whose fields hold flat; each entry must fit its field."""
+        if self.field_bytes == 1:
+            return int.from_bytes(bytes(flat), "big")
         return sum(c << e for c, e in zip(flat, self.shifts))
 
     def unpack(self, w):
@@ -111,7 +121,10 @@ class Packing:
         return self.template % tuple(self.unpack(w))  # Codeword.to_text
 
     def codeword(self, w):
-        return from_flat(self.profile, self.unpack(w))
+        """w as a Codeword, wrapped as it is: w must be reduced (w & mask == w)."""
+        v = Codeword.__new__(Codeword)
+        v.profile, v.w = self.profile, w
+        return v
 
     def shift(self, w):
         """The packed cyclic_shift: every field moves down one place, and each
@@ -137,81 +150,99 @@ class Packing:
         return table
 
 
-@dataclass(frozen=True)
 class Codeword:
-    """One element of the ambient module: block i is alpha_i residues mod 2^i."""
+    """One element of the ambient module: block i is alpha_i residues mod 2^i,
+    held as the profile and w, the word packed by profile.packing.
+    Codeword(profile, components) checks the block shape and reduces every
+    block once; sums, negation, shifts and Packing.codeword work on w alone."""
 
-    profile: AlphabetProfile
-    components: tuple
+    __slots__ = ("profile", "w")
+
+    def __init__(self, profile, components):
+        self.profile, self.w = profile, components
+        self.__post_init__()
 
     def __post_init__(self):
-        if len(self.components) != self.profile.n:
+        """Check the blocks held in w, reduce block i mod 2^i and pack them into w."""
+        profile, flat = self.profile, []
+        if len(self.w) != profile.n:
             raise ValueError("component count must equal n")
-        comps = []
-        for i, block in enumerate(self.components, start=1):
-            mod = 1 << i
-            block = tuple(c % mod for c in block)
-            if len(block) != self.profile.alpha(i):
-                raise ValueError(f"block {i} must have length {self.profile.alpha(i)}")
-            comps.append(block)
-        object.__setattr__(self, "components", tuple(comps))
+        for i, block in enumerate(self.w, start=1):
+            block = [c & ((1 << i) - 1) for c in block]
+            if len(block) != profile.alpha(i):
+                raise ValueError(f"block {i} must have length {profile.alpha(i)}")
+            flat += block
+        self.w = profile.packing.pack(flat)
 
     @classmethod
     def zero(cls, profile):
-        return cls(profile, tuple((0,) * a for a in profile.alphas))
+        return profile.packing.codeword(0)
+
+    @property
+    def components(self):
+        """The blocks, as a tuple of residue tuples."""
+        packing = self.profile.packing
+        flat = packing.unpack(self.w)
+        return tuple(tuple(flat[lo:hi]) for lo, hi in packing.blocks)
 
     def block(self, i):
         return self.components[i - 1]
 
     def is_zero(self):
-        return all(all(c == 0 for c in b) for b in self.components)
+        return not self.w
+
+    def _packing(self, other):
+        if other.profile is not self.profile and other.profile != self.profile:
+            raise ProfileMismatch("profiles differ")
+        return self.profile.packing
 
     def __add__(self, other):
-        if self.profile != other.profile:
-            raise ProfileMismatch("profiles differ")
-        return Codeword(
-            self.profile,
-            tuple(
-                tuple(a + b for a, b in zip(x, y))
-                for x, y in zip(self.components, other.components)
-            ),
-        )
+        packing = self._packing(other)
+        return packing.codeword((self.w + other.w) & packing.mask)
 
     def __neg__(self):
-        return Codeword(self.profile, tuple(tuple(-c for c in b) for b in self.components))
+        packing = self.profile.packing  # top - w: a field holds 2^i, so nothing borrows
+        return packing.codeword((packing.top - self.w) & packing.mask)
 
     def __sub__(self, other):
-        return self + (-other)
+        packing = self._packing(other)
+        return packing.codeword((self.w + packing.top - other.w) & packing.mask)
+
+    def __eq__(self, other):
+        return other.__class__ is Codeword and self.w == other.w and self.profile == other.profile
+
+    def __hash__(self):
+        return hash((self.profile.alphas, self.w))
+
+    def __repr__(self):
+        return f"Codeword({self.profile!r}, {self.components!r})"
 
     def flat(self):
         """All coordinates in block order, as one tuple (the dedup key)."""
-        return tuple(c for b in self.components for c in b)
+        return tuple(self.profile.packing.unpack(self.w))
 
     def to_text(self):
-        return "|".join(",".join(str(c) for c in b) for b in self.components)
+        return self.profile.packing.text(self.w)
 
     @classmethod
     def from_text(cls, profile, text):
-        blocks = [tuple(int(c) for c in part.split(",")) if part else () for part in text.split("|")]
-        return cls(profile, tuple(blocks))
+        return cls(profile, [[int(c) for c in part.split(",")] if part else []
+                             for part in text.split("|")])
 
 
-@dataclass(frozen=True)
 class PolyTuple:
     """The polynomial picture: block i read as a polynomial of degree < alpha_i."""
 
-    profile: AlphabetProfile
-    polys: tuple
-
-    def __post_init__(self):
-        for i, p in enumerate(self.polys, start=1):
+    def __init__(self, profile, polys):
+        for i, p in enumerate(polys, start=1):
             if p.k != i:
                 raise ValueError(f"component {i} must live over Z/2^{i}")
             d = p.degree()
-            if d is not None and d >= self.profile.alpha(i):
+            if d is not None and d >= profile.alpha(i):
                 raise ValueError(f"component {i} degree exceeds alpha_{i} - 1")
-        if len(self.polys) != self.profile.n:
+        if len(polys) != profile.n:
             raise ValueError("component count must equal n")
+        self.profile, self.polys = profile, polys
 
     def poly(self, i):
         return self.polys[i - 1]
@@ -223,16 +254,18 @@ def to_polys(v: Codeword) -> PolyTuple:
 
 
 def from_polys(u: PolyTuple) -> Codeword:
-    comps = []
-    for i, p in enumerate(u.polys, start=1):
-        a = u.profile.alpha(i)
-        comps.append(tuple(p.coeff(e) for e in range(a)))
-    return Codeword(u.profile, tuple(comps))
+    """The x^j coefficient of component i becomes coordinate j of block i,
+    packed as it is: PolyTuple holds each component reduced, of degree < alpha_i."""
+    packing = u.profile.packing
+    flat = [c for p, a in zip(u.polys, u.profile.alphas)
+            for c in p.coeffs + (0,) * (a - len(p.coeffs))]
+    return packing.codeword(packing.pack(flat))
 
 
 def cyclic_shift(v: Codeword) -> Codeword:
     """Rotate every block right by one position, simultaneously."""
-    return Codeword(v.profile, tuple(b[-1:] + b[:-1] for b in v.components))
+    packing = v.profile.packing
+    return packing.codeword(packing.shift(v.w))
 
 
 def scalar_action(d: Poly, u: PolyTuple) -> PolyTuple:
@@ -249,13 +282,12 @@ def scalar_action(d: Poly, u: PolyTuple) -> PolyTuple:
 
 
 def from_flat(profile, flat):
-    """The codeword whose coordinates, in block order, are flat (inverse of flat())."""
-    comps = []
-    pos = 0
-    for a in profile.alphas:
-        comps.append(tuple(flat[pos : pos + a]))
-        pos += a
-    return Codeword(profile, tuple(comps))
+    """The codeword whose coordinates, in block order, are flat (inverse of
+    flat()), each reduced mod 2^i in block i."""
+    packing = profile.packing
+    if len(flat) != len(packing.levels):
+        raise ValueError(f"need {len(packing.levels)} coordinates, got {len(flat)}")
+    return packing.codeword(packing.pack([c & m for c, m in zip(flat, packing.lows)]))
 
 
 def all_codewords(profile):

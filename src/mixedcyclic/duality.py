@@ -6,8 +6,8 @@ mod 2^n:  u.v = sum_i 2^(n-i) <u_i, v_i> mod 2^n.  Scaling block i by
 (Z/2^n)^N, where the pairing is the plain dot product, so the dual is
 solved, not searched: dual_code takes the kernel mod 2^n of the code's
 echelon basis (a Howell form of [A^T | I]), reduces it mod 2^i in block i
-and embeds it again on packed words, and builds a Codeword only for each
-dual word it lists.
+and embeds it again on packed words, and wraps each dual word it lists
+as a Codeword.
 brute_force_dual is the cross-check: it scans the whole ambient module
 at desk scale and tests each vector against a spanning family (each
 generator with all of its shifts), which suffices because the pairing
@@ -18,7 +18,6 @@ generator shifts.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from .codespace import (
     BudgetExceeded,
@@ -36,12 +35,8 @@ def inner_product(u: Codeword, v: Codeword):
     """Weighted dot product, reduced mod 2^n."""
     if u.profile != v.profile:
         raise ProfileMismatch("profiles differ")
-    n = u.profile.n
-    total = 0
-    for i in range(1, n + 1):
-        s = sum(a * b for a, b in zip(u.block(i), v.block(i)))
-        total += (1 << (n - i)) * s
-    return total % (1 << n)
+    packing = u.profile.packing  # embedded, block i carries its 2^(n-i)
+    return sum(a * b for a, b in zip(packing.embed(u.w), packing.unpack(v.w))) % (1 << u.profile.n)
 
 
 def shift_adjoint_check(u: Codeword, v: Codeword):
@@ -52,10 +47,13 @@ def shift_adjoint_check(u: Codeword, v: Codeword):
     return inner_product(w, u) == inner_product(v, cyclic_shift(u))
 
 
-@dataclass(frozen=True)
 class DualResult:
-    dual_codewords: tuple  # canonical lexicographic order
-    cyclic_flag: bool
+    def __init__(self, dual_codewords, cyclic_flag):
+        self.dual_codewords = dual_codewords  # canonical lexicographic order
+        self.cyclic_flag = cyclic_flag
+
+    def __eq__(self, other):
+        return other.__class__ is DualResult and vars(self) == vars(other)
 
     @property
     def dual_count(self):
@@ -64,16 +62,13 @@ class DualResult:
 
 def spanning_family(generators):
     """Generators and all their shifts: enough to test orthogonality to C."""
-    family = []
-    seen = set()
+    family = {}  # by packed word, in first-seen order
     for g in generators:
         w = g
         for _ in range(g.profile.shift_order()):
-            if w.flat() not in seen:
-                seen.add(w.flat())
-                family.append(w)
+            family.setdefault(w.w, w)
             w = cyclic_shift(w)
-    return family
+    return list(family.values())
 
 
 def brute_force_dual(generators, profile, budget=1 << 20, threads=1):
@@ -103,8 +98,8 @@ def brute_force_dual(generators, profile, budget=1 << 20, threads=1):
     else:
         parts = [scan(rng) for rng in chunks]
     dual = [v for part in parts for v in part]
-    keys = {v.flat() for v in dual}
-    return DualResult(tuple(dual), all(cyclic_shift(v).flat() in keys for v in dual))
+    keys = {v.w for v in dual}
+    return DualResult(tuple(dual), all(cyclic_shift(v).w in keys for v in dual))
 
 
 def dual_code(generators, profile, budget=1 << 20):

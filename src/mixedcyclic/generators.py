@@ -36,7 +36,6 @@ by the formal degrees diverge from the witness degrees.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 from .codespace import PolyTuple, from_polys
 from .modring import Poly, divides_witness
@@ -62,7 +61,6 @@ class MixingSolveError(ArithmeticError):
         super().__init__(f"no solution for mixing certificate at (j={j}, i={i})")
 
 
-@dataclass(frozen=True)
 class StructuredGenerators:
     """The triangular generator data (a-layers and mixing polynomials).
 
@@ -73,15 +71,12 @@ class StructuredGenerators:
     quotient but keeps a cofactor.
     """
 
-    profile: object
-    a_layers: tuple
-    l_mix: tuple
-
-    def __post_init__(self):
-        n = self.profile.n
-        if len(self.a_layers) != n:
+    def __init__(self, profile, a_layers, l_mix):
+        self.profile, self.a_layers, self.l_mix = profile, a_layers, l_mix
+        n = profile.n
+        if len(a_layers) != n:
             raise ValueError("need one a-layer tuple per level")
-        for i, layer in enumerate(self.a_layers, start=1):
+        for i, layer in enumerate(a_layers, start=1):
             if len(layer) != i:
                 raise ValueError(f"level {i} needs exactly {i} a-layers")
             for j, p in enumerate(layer):
@@ -91,18 +86,18 @@ class StructuredGenerators:
                     raise ValueError(
                         f"a[{i}][{j}] is zero; use x^alpha-1 for an absent layer"
                     )
-                if p.degree() > self.profile.alpha(i):
+                if p.degree() > profile.alpha(i):
                     raise ValueError(f"a[{i}][{j}] degree exceeds alpha_{i}")
-        if len(self.l_mix) != max(n - 1, 0):
+        if len(l_mix) != max(n - 1, 0):
             raise ValueError("need mixing polynomials for levels 2..n")
-        for i, mix in enumerate(self.l_mix, start=2):
+        for i, mix in enumerate(l_mix, start=2):
             if len(mix) != i - 1:
                 raise ValueError(f"level {i} needs {i - 1} mixing polynomials")
             for j, p in enumerate(mix, start=1):
                 if p.k != i:
                     raise ValueError(f"l[{i}][{j}] must be written at level {i}")
                 d = p.degree()
-                if d is not None and d >= self.profile.alpha(j):
+                if d is not None and d >= profile.alpha(j):
                     raise ValueError(
                         f"l[{i}][{j}] degree must stay below alpha_{j}"
                     )
@@ -128,7 +123,7 @@ class StructuredGenerators:
     def generator_codewords(self):
         return [self.generator_codeword(i) for i in self.profile.levels()]
 
-    # built on first use, once per family: __post_init__ runs inside load_code_spec
+    # built on first use, once per family: __init__ runs inside load_code_spec
     @functools.cached_property
     def _a_totals(self):
         return tuple(sum((self.a(i, j).scale(1 << j) for j in range(i)), Poly.zero(i))
@@ -171,7 +166,6 @@ def _derive_h(a: Poly, alpha: int):
     return divides_witness(a, target, alpha=None if a.has_unit_lead() else alpha)
 
 
-@dataclass(frozen=True)
 class Cofactors:
     """Witness cofactors plus the formal row-count degrees.
 
@@ -183,23 +177,21 @@ class Cofactors:
     degree differences (alpha_i - deg a_{i0}, deg a_{i,j-1} - deg a_{ij});
     for unit-leading layers these equal the witness degrees.  Negative
     differences are clamped to empty blocks and recorded as warnings.
+    Cofactors are equal when all six fields are.
     """
 
-    h: dict
-    m: dict
-    d: dict
-    h_rows: dict
-    m_rows: dict
-    warnings: tuple = field(default_factory=tuple)
+    def __init__(self, h, m, d, h_rows, m_rows, warnings=()):
+        self.h, self.m, self.d = h, m, d
+        self.h_rows, self.m_rows, self.warnings = h_rows, m_rows, warnings
+
+    def __eq__(self, other):
+        return other.__class__ is Cofactors and vars(self) == vars(other)
 
 
-@dataclass(frozen=True)
 class ConditionEntry:
-    condition: str  # "i" | "ii" | "iii" | "iv"
-    level: int
-    index: int | None
-    passed: bool
-    note: str
+    def __init__(self, condition, level, index, passed, note):
+        self.condition = condition  # "i" | "ii" | "iii" | "iv"
+        self.level, self.index, self.passed, self.note = level, index, passed, note
 
     def line(self):
         where = f"i={self.level}" + ("" if self.index is None else f" j={self.index}")
@@ -207,14 +199,13 @@ class ConditionEntry:
         return f"condition ({self.condition}) {where}: {verdict} [{self.note}]"
 
 
-@dataclass(frozen=True)
 class ValidationReport:
-    entries: tuple
-    profile_nonstandard: bool
-    warnings: tuple
-    notes: tuple = field(default_factory=tuple)
-    cofactors: Cofactors | None = None  # None iff cofactor_gap is set
-    cofactor_gap: tuple | None = None  # (level, index, role) of the first missing cofactor
+    def __init__(self, entries, profile_nonstandard, warnings, notes=(), cofactors=None,
+                 cofactor_gap=None):
+        self.entries, self.profile_nonstandard = entries, profile_nonstandard
+        self.warnings, self.notes = warnings, notes
+        self.cofactors = cofactors  # None iff cofactor_gap is set
+        self.cofactor_gap = cofactor_gap  # (level, index, role) of the first missing cofactor
 
     @property
     def passed(self):

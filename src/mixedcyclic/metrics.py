@@ -47,10 +47,7 @@ def gray_image(v: Codeword):
 
 def mixed_weight(v: Codeword):
     """Hamming weight on the Z2 block plus Lee weights on higher blocks."""
-    total = hamming_weight(v.components[0])
-    for i in range(2, v.profile.n + 1):
-        total += sum(lee_weight(c, i) for c in v.block(i))
-    return total
+    return sum(map(lee_weight, v.flat(), v.profile.packing.levels))  # Lee mod 2 is Hamming
 
 
 def packed_weigher(packing):

@@ -14,7 +14,6 @@ never -1, so callers must guard before doing arithmetic on degrees.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 
 class ModulusMismatch(ValueError):
@@ -28,18 +27,24 @@ def _strip(coeffs):
     return tuple(coeffs[:n])
 
 
-@dataclass(frozen=True)
 class Poly:
     """Polynomial over Z/2^k, ascending powers, no trailing zeros."""
 
-    coeffs: tuple
-    k: int
+    __slots__ = ("coeffs", "k")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, coeffs, k):
+        if k < 1:
             raise ValueError("modulus exponent k must be >= 1")
-        mod = 1 << self.k
-        object.__setattr__(self, "coeffs", _strip([c % mod for c in self.coeffs]))
+        self.coeffs, self.k = _strip([c & ((1 << k) - 1) for c in coeffs]), k
+
+    def __eq__(self, other):
+        return other.__class__ is Poly and self.coeffs == other.coeffs and self.k == other.k
+
+    def __hash__(self):
+        return hash((self.coeffs, self.k))
+
+    def __repr__(self):
+        return f"Poly({self.coeffs!r}, {self.k!r})"
 
     @classmethod
     def zero(cls, k):
@@ -172,23 +177,17 @@ def poly_divmod_unit_lead(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     return Poly(q, g.k), Poly(rem, g.k)
 
 
-@dataclass(frozen=True)
 class LinearSystem:
     """A*x = b over Z/2^k; rows of equal length, entries reduced."""
 
-    matrix: tuple
-    rhs: tuple
-    k: int
-
-    def __post_init__(self):
-        mod = 1 << self.k
-        rows = tuple(tuple(c % mod for c in row) for row in self.matrix)
+    def __init__(self, matrix, rhs, k):
+        mod = 1 << k
+        rows = tuple(tuple(c % mod for c in row) for row in matrix)
         if len({len(r) for r in rows} | ({0} if not rows else set())) > 1:
             raise ValueError("ragged matrix")
-        if len(rows) != len(self.rhs):
+        if len(rows) != len(rhs):
             raise ValueError("rhs length does not match row count")
-        object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "rhs", tuple(b % mod for b in self.rhs))
+        self.matrix, self.rhs, self.k = rows, tuple(b % mod for b in rhs), k
 
 
 def solve_linear_mod2k(sys: LinearSystem):

@@ -28,24 +28,20 @@ a time until a shift adds nothing; the dual in duality starts from it too.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
-from .codespace import (BudgetExceeded, Codeword, ProfileMismatch, cyclic_shift, from_polys,
-                        scalar_action)
+from .codespace import BudgetExceeded, Codeword, ProfileMismatch, from_polys, scalar_action
 from .generators import Cofactors, StructuredGenerators
 from .modring import Howell
 
 
-@dataclass(frozen=True)
 class SpanningSet:
     """Ordered labelled rows; label (i, j, k) means x^k times base (i, j)."""
 
-    profile: object
-    rows: tuple  # of (label, Codeword)
-    counts: dict  # (i, j) -> row count
-    coeff_bits: dict  # (i, j) -> coefficient modulus exponent
-    family: StructuredGenerators
-    warnings: tuple = field(default_factory=tuple)
+    def __init__(self, profile, rows, counts, coeff_bits, family, warnings=()):
+        self.profile, self.family, self.warnings = profile, family, warnings
+        self.rows = rows  # of (label, Codeword)
+        self.counts = counts  # (i, j) -> row count
+        self.coeff_bits = coeff_bits  # (i, j) -> coefficient modulus exponent
 
     @functools.cached_property
     def echelon(self):
@@ -67,9 +63,7 @@ def _base_row(g: StructuredGenerators, c: Cofactors, i, j):
 
 def build_spanning_set(g: StructuredGenerators, c: Cofactors) -> SpanningSet:
     """Assemble all blocks; zero rows and duplicates are kept but flagged."""
-    rows = []
-    counts = {}
-    coeff_bits = {}
+    rows, counts, coeff_bits, packing = [], {}, {}, g.profile.packing
     warnings = list(c.warnings)
     for i in g.profile.levels():
         for j in range(i):
@@ -78,17 +72,16 @@ def build_spanning_set(g: StructuredGenerators, c: Cofactors) -> SpanningSet:
             coeff_bits[(i, j)] = i if j == 0 else i - j
             if count == 0:
                 continue
-            base = _base_row(g, c, i, j)
-            w = base
+            w = _base_row(g, c, i, j).w
             for k in range(count):
-                rows.append(((i, j, k), w))
-                if w.is_zero():
+                rows.append(((i, j, k), packing.codeword(w)))
+                if not w:
                     warnings.append({"code": "zero_row", "level": i, "index": j, "shift": k})
-                w = cyclic_shift(w)
+                w = packing.shift(w)
     seen = {}
-    for lab, w in rows:
-        seen.setdefault(w.flat(), []).append(lab)
-    for flat, labs in sorted(seen.items()):
+    for lab, row in rows:
+        seen.setdefault(row.w, []).append(lab)
+    for _, labs in sorted(seen.items()):  # int order is flat() order
         if len(labs) > 1:
             warnings.append({"code": "duplicate_rows", "labels": labs})
     return SpanningSet(g.profile, tuple(rows), counts, coeff_bits, g, tuple(warnings))
@@ -141,8 +134,7 @@ def iter_packed_range(s: SpanningSet, start: int, stop: int):
     mask = packing.mask
     radices = _digit_radices(s)
     ndig = len(radices)
-    multiples = [packing.multiples(packing.pack(row.flat()), radix)
-                 for radix, (_, row) in zip(radices, s.rows)]
+    multiples = [packing.multiples(row.w, radix) for radix, (_, row) in zip(radices, s.rows)]
     digits = []
     rem = start
     for r in radices:
@@ -193,18 +185,18 @@ def code_echelon(words, profile):
     The orbit needs no bound, since x^lcm(alpha) w = w."""
     packing = profile.packing
     basis = Howell(sum(profile.alphas), profile.n)
-    for w in words:
-        w = packing.pack(w.flat())
+    for v in words:
+        w = v.w
         while basis.insert(basis.pack(packing.embed(w))):
             w = packing.shift(w)
     return basis
 
 
-@dataclass(frozen=True)
 class Decomposition:
     """Multipliers over s.echelon: coeffs[r] < 2^(n - v_r) for pivot r."""
 
-    coeffs: tuple
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
 
     def evaluate(self, s: SpanningSet) -> Codeword:
         terms = [[c * p for p in row] for c, (_, _, row) in zip(self.coeffs, s.echelon)]
@@ -220,7 +212,7 @@ def membership_test(v: Codeword, s: SpanningSet) -> Decomposition | None:
     if v.profile != s.profile:
         raise ProfileMismatch(f"word profile {v.profile.alphas} vs code {s.profile.alphas}")
     packing, basis = s.profile.packing, s.echelon
-    coeffs = basis.reduce(basis.pack(packing.embed(packing.pack(v.flat()))))
+    coeffs = basis.reduce(basis.pack(packing.embed(v.w)))
     return None if coeffs is None else Decomposition(tuple(coeffs))
 
 
