@@ -64,7 +64,7 @@ def _base_row(g: StructuredGenerators, c: Cofactors, i, j):
 def build_spanning_set(g: StructuredGenerators, c: Cofactors) -> SpanningSet:
     """Assemble all blocks; zero rows and duplicates are kept but flagged."""
     rows, counts, coeff_bits, packing = [], {}, {}, g.profile.packing
-    warnings = list(c.warnings)
+    warnings, seen = list(c.warnings), {}  # seen: packed row -> its labels
     for i in g.profile.levels():
         for j in range(i):
             count = c.h_rows[(i, 0)] if j == 0 else c.m_rows[(i, j)]
@@ -75,12 +75,10 @@ def build_spanning_set(g: StructuredGenerators, c: Cofactors) -> SpanningSet:
             w = _base_row(g, c, i, j).w
             for k in range(count):
                 rows.append(((i, j, k), packing.codeword(w)))
+                seen.setdefault(w, []).append((i, j, k))
                 if not w:
                     warnings.append({"code": "zero_row", "level": i, "index": j, "shift": k})
                 w = packing.shift(w)
-    seen = {}
-    for lab, row in rows:
-        seen.setdefault(row.w, []).append(lab)
     for _, labs in sorted(seen.items()):  # int order is flat() order
         if len(labs) > 1:
             warnings.append({"code": "duplicate_rows", "labels": labs})
