@@ -107,8 +107,6 @@ class Packing:
 
     def pack(self, flat):
         """The word whose fields hold flat; each entry must fit its field."""
-        if self.field_bytes == 1:
-            return int.from_bytes(bytes(flat), "big")
         return sum(c << e for c, e in zip(flat, self.shifts))
 
     def unpack(self, w):

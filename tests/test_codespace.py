@@ -39,6 +39,11 @@ def test_codeword_construction_and_text():
     assert v.block(2) == (0, 1, 2)
     with pytest.raises(ValueError):
         Codeword(prof, ((1, 0, 0), (0, 1, 2)))
+    # from_flat takes exactly sum(alpha_i) coordinates
+    assert from_flat(prof, (1, 0, 0, 1, 2)) == v
+    for flat in ((1, 0, 0, 1), (1, 0, 0, 1, 2, 0)):
+        with pytest.raises(ValueError):
+            from_flat(prof, flat)
 
 
 @pytest.mark.parametrize("alphas, field_bytes", [((2, 3), 1), ((1, 3, 1), 1), ((1,) * 7, 1),

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import mixedcyclic.cli as cli
 import mixedcyclic.spanning as spanning
 from mixedcyclic.closure import module_closure
 from mixedcyclic.codespace import (AlphabetProfile, BudgetExceeded, Codeword, Packing,
@@ -332,6 +333,50 @@ def test_enumeration_scales_each_row_once(binary7, toy2, tower111, monkeypatch):
         assert total == span_size(s)
         radices = [1 << s.coeff_bits[(i, j)] for (i, j, _), _ in s.rows]
         assert built <= total + sum(r - 1 for r in radices), (built, total)
+
+
+def _count_wraps(monkeypatch, call):
+    """(calls of Packing.codeword, call()): every Codeword a scan hands out,
+    validated or not, is wrapped there."""
+    wrapped, original = 0, Packing.codeword
+
+    def counted(self, w):
+        nonlocal wrapped
+        wrapped += 1
+        return original(self, w)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Packing, "codeword", counted)
+        result = call()
+    return wrapped, result
+
+
+def test_enumeration_wraps_one_codeword_per_word(binary7, toy2, tower111, monkeypatch):
+    for g in (binary7, toy2, tower111):
+        _, s = spanning_for(g)
+        wrapped, total = _count_wraps(monkeypatch, lambda: sum(1 for _ in enumerate_codewords(s)))
+        assert total == span_size(s)
+        radices = [1 << s.coeff_bits[(i, j)] for (i, j, _), _ in s.rows]
+        assert wrapped <= total + sum(r - 1 for r in radices), (wrapped, total)
+
+
+@pytest.mark.parametrize("argv", [["mindist", "demos/codes/toy_n2.json", "--distribution"],
+                                  ["enum", "demos/codes/toy_n2.json"]])
+def test_cli_scans_wrap_fewer_codewords_than_words(argv, monkeypatch, capsys):
+    # the scan walks, weighs and prints packed words: fewer Codewords than
+    # the 64 words of the stream
+    wrapped, code = _count_wraps(monkeypatch, lambda: cli.main(argv))
+    assert code == 0 and capsys.readouterr().out
+    assert wrapped < 64, wrapped
+
+
+def test_code_echelon_wraps_no_codeword(monkeypatch):
+    with open("demos/codes/three_level_855.json") as fh:
+        gens = cli.load_code_spec(fh.read())
+    words = gens.generator_codewords()
+    wrapped, basis = _count_wraps(monkeypatch, lambda: spanning.code_echelon(words, gens.profile))
+    assert wrapped == 0
+    assert sum(3 - v for _, v, _ in basis) == 31  # |C| = 2^31
 
 
 def test_echelon_is_the_written_out_embedding(binary7, toy2, example855, tower111):
