@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -53,6 +54,30 @@ def test_schema_errors_identify_fields():
         load_code_spec('{"n": 1, "alphas": [3], "a": [[[1, 1]]], "extra": 1}')
     with pytest.raises(SchemaError, match="not valid JSON"):
         load_code_spec("{")
+
+
+_A2 = '"a": [[[1, 1]], [[1, 1, 1], [1]]]'
+
+
+@pytest.mark.parametrize("doc, path", [
+    # one fault each, on top of a valid n=2 (or n=1) document
+    ('{"n": 2, "alphas": [3, 3], "a": [[[1, 1]], [[1, 1, 1]]], "l": [[[1]]]}', "a[1]"),
+    ('{"n": 2, "alphas": [3, 3], "a": [[[1, 1]]], "l": [[[1]]]}', "a"),
+    ('{"n": 1, "alphas": [3], "a": [[[0]]]}', "a[0][0]"),
+    ('{"n": 2, "alphas": [3, 3], "a": [[[1, 1]], [[1, 1, 1], [0, 0]]], "l": [[[1]]]}',
+     "a[1][1]"),
+    ('{"n": 1, "alphas": [3], "a": [[[1, 0, 0, 0, 1]]]}', "a[0][0]"),
+    ('{"n": 2, "alphas": [3, 3], "a": [[[1, 1]], [[1, 0, 0, 0, 1], [1]]], "l": [[[1]]]}',
+     "a[1][0]"),
+    ('{"n": 1, "alphas": [3], "a": [[[1, 1]]], "l": [[[1]]]}', "l"),
+    ('{"n": 2, "alphas": [3, 3], ' + _A2 + '}', "l"),
+    ('{"n": 2, "alphas": [3, 3], ' + _A2 + ', "l": [[[1]], [[1]]]}', "l"),
+    ('{"n": 2, "alphas": [3, 3], ' + _A2 + ', "l": [[[1], [1]]]}', "l[0]"),
+    ('{"n": 2, "alphas": [3, 3], ' + _A2 + ', "l": [[[1, 0, 0, 1]]]}', "l[0][0]"),
+])
+def test_family_shape_errors_name_the_field(doc, path):
+    with pytest.raises(SchemaError, match="^" + re.escape(path) + ": "):
+        load_code_spec(doc)
 
 
 def test_out_of_range_coefficient_is_an_error_not_a_reduction():

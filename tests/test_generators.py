@@ -260,3 +260,19 @@ def test_each_level_is_built_once_per_family(example855, monkeypatch):
     twin = StructuredGenerators(g.profile, g.a_layers, g.l_mix)
     assert twin.a_total(3) == g.a_total(3)
     assert sorted(scaled) == sorted(layers * 2)
+
+
+@pytest.mark.parametrize("doc, line", [
+    ("h21_unavailable", "condition (iii) i=1: FAIL [h[2][1] unavailable (condition (i) failed)]"),
+    ("d2_unavailable", "condition (iv) i=2: FAIL [d_2 unavailable (condition (iii) failed)]"),
+])
+def test_missing_witness_is_an_unavailable_entry(doc, line):
+    # (iii) needs h_{i+1,i} from condition (i), and (iv) needs d_i from (iii)
+    from mixedcyclic.cli import load_code_spec
+
+    with open(f"tests/data/{doc}.json") as fh:
+        report = validate_generators(load_code_spec(fh.read()))
+    lines = report.to_lines()
+    assert line in lines
+    assert lines[-1] == "overall: FAIL"
+    assert report.cofactors is None

@@ -167,6 +167,40 @@ def test_divides_witness_completeness_desk_scale():
                         assert poly_mul(witness, f, alpha=alpha) == g
 
 
+def test_divides_witness_plain_ring_solve_exhaustive():
+    # no alpha and f not unit-leading (so the linear solve decides), k <= 2,
+    # deg f <= 2, deg g <= 3, against a brute-force search over q with
+    # deg q <= deg g; over Z/2 every nonzero f is unit-leading
+    pairs = divisible = 0
+    for k in (1, 2):
+        for f in all_polys(k, 2):
+            if f.is_zero() or f.has_unit_lead():
+                continue
+            least_deg_q = {}  # f*q -> the least deg q reaching it
+            for q in all_polys(k, 3):
+                if not q.is_zero():
+                    prod = (f * q).coeffs
+                    least_deg_q[prod] = min(least_deg_q.get(prod, 4), q.degree())
+            for g in all_polys(k, 3):
+                if g.is_zero():
+                    continue
+                pairs += 1
+                witness = divides_witness(f, g)
+                reachable = least_deg_q.get(g.coeffs, 4) <= g.degree()
+                assert (witness is not None) == reachable, (f, g)
+                if witness is not None:
+                    divisible += 1
+                    assert witness * f == g and witness.degree() <= g.degree(), (f, g)
+    assert (pairs, divisible) == (5355, 887)
+
+
+def test_divides_witness_plain_ring_bounds_the_quotient_degree():
+    # (1 + 2x)^2 = 1 over Z/4, but the solve looks for q with deg q <= deg g = 0
+    f = P([1, 2], 2)
+    assert f * f == Poly.one(2)
+    assert divides_witness(f, Poly.one(2)) is None
+
+
 def test_solver_examples():
     sys = LinearSystem(((2,),), (2,), 2)
     x = solve_linear_mod2k(sys)
