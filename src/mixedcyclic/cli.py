@@ -74,21 +74,27 @@ def _expect(cond, path, msg):
         raise SchemaError(f"{path}: {msg}")
 
 
-def _coeff_array(raw, path, level, max_len):
+def _coeff_array(raw, path, level):
     _expect(isinstance(raw, list), path, "expected a coefficient array")
     mod = 1 << level
     for pos, v in enumerate(raw):
-        _expect(type(v) is int, f"{path}[{pos}]", "coefficient must be an integer")
-        _expect(0 <= v < mod, f"{path}[{pos}]",
-                f"coefficient {v} out of range [0, {mod}) for level {level}")
-    p = Poly(tuple(raw), level)  # drops trailing zeros, so len(coeffs) = degree + 1
-    _expect(len(p.coeffs) <= max_len, path,
-            f"degree {p.degree()} too large (limit {max_len - 1})")
-    return p
+        if type(v) is not int:
+            raise SchemaError(f"{path}[{pos}]: coefficient must be an integer")
+        if not 0 <= v < mod:
+            raise SchemaError(
+                f"{path}[{pos}]: coefficient {v} out of range [0, {mod}) for level {level}")
+    return Poly(tuple(raw), level)
+
+
+def _level(raw, path, level):
+    """A level's arrays, read mod 2^level (l_{ij} is written at level i)."""
+    _expect(isinstance(raw, list), path, "expected a list of coefficient arrays")
+    return tuple(_coeff_array(arr, f"{path}[{j}]", level) for j, arr in enumerate(raw))
 
 
 def load_code_spec(text: str) -> StructuredGenerators:
-    """Parse and validate a code document; errors identify the field."""
+    """Parse a code document; errors identify the field.  StructuredGenerators
+    checks the family's shape: layer counts, zero layers, degree bounds."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -113,39 +119,13 @@ def load_code_spec(text: str) -> StructuredGenerators:
     except ValueError as err:
         raise SchemaError(f"alphas: {err}") from err
 
-    a_doc = doc.get("a")
-    _expect(isinstance(a_doc, list) and len(a_doc) == n, "a",
-            f"must hold one layer list per level (n={n})")
-    a_layers = []
-    for i, layer in enumerate(a_doc, start=1):
-        _expect(isinstance(layer, list) and len(layer) == i, f"a[{i - 1}]",
-                f"level {i} needs exactly {i} layer arrays")
-        polys = []
-        for j, arr in enumerate(layer):
-            p = _coeff_array(arr, f"a[{i - 1}][{j}]", i, max_len=alphas[i - 1] + 1)
-            _expect(not p.is_zero(), f"a[{i - 1}][{j}]",
-                    "zero layer; write x^alpha - 1 for an absent layer")
-            polys.append(p)
-        a_layers.append(tuple(polys))
-
-    l_doc = doc.get("l", [])
-    if n == 1:
-        _expect(l_doc in ([],), "l", "must be absent or empty when n = 1")
-    else:
-        _expect(isinstance(l_doc, list) and len(l_doc) == n - 1, "l",
-                f"must hold one mixing list per level 2..{n}")
-    l_mix = []
-    for i, mix in enumerate(l_doc, start=2):
-        _expect(isinstance(mix, list) and len(mix) == i - 1, f"l[{i - 2}]",
-                f"level {i} needs exactly {i - 1} mixing arrays")
-        polys = []
-        for j, arr in enumerate(mix, start=1):
-            p = _coeff_array(arr, f"l[{i - 2}][{j - 1}]", i, max_len=alphas[j - 1])
-            polys.append(p)
-        l_mix.append(tuple(polys))
-
+    a_doc, l_doc = doc.get("a"), doc.get("l", [])
+    _expect(isinstance(a_doc, list), "a", "expected a list of levels")
+    a_layers = tuple(_level(arrays, f"a[{i - 1}]", i) for i, arrays in enumerate(a_doc, start=1))
+    _expect(isinstance(l_doc, list), "l", "expected a list of levels")
+    l_mix = tuple(_level(arrays, f"l[{i - 2}]", i) for i, arrays in enumerate(l_doc, start=2))
     try:
-        return StructuredGenerators(profile, tuple(a_layers), tuple(l_mix))
+        return StructuredGenerators(profile, a_layers, l_mix)
     except ValueError as err:
         raise SchemaError(str(err)) from err
 

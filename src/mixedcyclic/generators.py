@@ -68,39 +68,40 @@ class StructuredGenerators:
     holds (l_{i1}, ..., l_{i,i-1}) written at level i; each l_{ij} is read
     modulo 2^j when it lands in component j.  A zero a-layer is rejected:
     an absent layer is expressed as x^alpha_i - 1, which is zero in the
-    quotient but keeps a cofactor.
+    quotient but keeps a cofactor.  This is the one check of a family's
+    shape; each ValueError starts with the code document's field path
+    (a_{ij} is a[i-1][j], l_{ij} is l[i-2][j-1]).
     """
 
     def __init__(self, profile, a_layers, l_mix):
         self.profile, self.a_layers, self.l_mix = profile, a_layers, l_mix
         n = profile.n
         if len(a_layers) != n:
-            raise ValueError("need one a-layer tuple per level")
+            raise ValueError(f"a: must hold one layer list per level (n={n})")
         for i, layer in enumerate(a_layers, start=1):
             if len(layer) != i:
-                raise ValueError(f"level {i} needs exactly {i} a-layers")
+                raise ValueError(f"a[{i - 1}]: level {i} needs exactly {i} layer arrays")
             for j, p in enumerate(layer):
                 if p.k != i:
-                    raise ValueError(f"a[{i}][{j}] must live over Z/2^{i}")
+                    raise ValueError(f"a[{i - 1}][{j}]: must live over Z/2^{i}")
                 if p.is_zero():
                     raise ValueError(
-                        f"a[{i}][{j}] is zero; use x^alpha-1 for an absent layer"
-                    )
+                        f"a[{i - 1}][{j}]: zero layer; write x^alpha - 1 for an absent layer")
                 if p.degree() > profile.alpha(i):
-                    raise ValueError(f"a[{i}][{j}] degree exceeds alpha_{i}")
-        if len(l_mix) != max(n - 1, 0):
-            raise ValueError("need mixing polynomials for levels 2..n")
+                    raise ValueError(f"a[{i - 1}][{j}]: degree {p.degree()} too large "
+                                     f"(limit {profile.alpha(i)})")
+        if len(l_mix) != n - 1:
+            raise ValueError(f"l: must hold one mixing list per level 2..{n}" if n > 1
+                             else "l: must be absent or empty when n = 1")
         for i, mix in enumerate(l_mix, start=2):
             if len(mix) != i - 1:
-                raise ValueError(f"level {i} needs {i - 1} mixing polynomials")
+                raise ValueError(f"l[{i - 2}]: level {i} needs exactly {i - 1} mixing arrays")
             for j, p in enumerate(mix, start=1):
                 if p.k != i:
-                    raise ValueError(f"l[{i}][{j}] must be written at level {i}")
-                d = p.degree()
-                if d is not None and d >= profile.alpha(j):
-                    raise ValueError(
-                        f"l[{i}][{j}] degree must stay below alpha_{j}"
-                    )
+                    raise ValueError(f"l[{i - 2}][{j - 1}]: must be written at level {i}")
+                if p.degree() is not None and p.degree() >= profile.alpha(j):
+                    raise ValueError(f"l[{i - 2}][{j - 1}]: degree {p.degree()} too large "
+                                     f"(limit {profile.alpha(j) - 1})")
 
     def a(self, i, j):
         return self.a_layers[i - 1][j]
@@ -295,23 +296,13 @@ def validate_generators(g: StructuredGenerators, extend_iv=False) -> ValidationR
                      "detail": f"formal degree difference {diff} clamped to 0"})
             m_rows[(i, j)] = max(diff, 0)
 
-    # (ii): degree bounds on the first and last mixing polynomial
-    # (the two clauses coincide at i = 1, so emit that check once)
-    deg_a1 = g.a(1, 0).degree()
+    # (ii): deg l_{i+1,j} < deg a_{j0} for the first and last mixing
+    # polynomial, j = 1 and j = i (one check at i = 1, where they coincide)
     for i in range(1, profile.n):
-        l_first = g.l(i + 1, 1)
-        d1 = l_first.degree()
-        ok = l_first.is_zero() or d1 < deg_a1
-        entries.append(ConditionEntry(
-            "ii", i, 1, ok, f"deg l[{i + 1}][1] < deg a[1][0] ({d1} vs {deg_a1})"))
-        if i == 1:
-            continue
-        l_last = g.l(i + 1, i)
-        dl = l_last.degree()
-        da = g.a(i, 0).degree()
-        ok = l_last.is_zero() or dl < da
-        entries.append(ConditionEntry(
-            "ii", i, i, ok, f"deg l[{i + 1}][{i}] < deg a[{i}][0] ({dl} vs {da})"))
+        for j in sorted({1, i}):
+            dl, da = g.l(i + 1, j).degree(), g.a(j, 0).degree()
+            entries.append(ConditionEntry("ii", i, j, dl is None or dl < da,
+                                          f"deg l[{i + 1}][{j}] < deg a[{j}][0] ({dl} vs {da})"))
 
     # (iii): a_i divides h_{i+1,i} * l_{i+1,i}; the witness is d_i
     for i in range(1, profile.n):

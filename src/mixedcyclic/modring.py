@@ -317,6 +317,8 @@ def divides_witness(f: Poly, g: Poly, alpha: int | None = None):
     when exact (it is then unique); without alpha a unit-leading f stops
     there, and otherwise q is solved for as a linear system, with
     deg q <= deg g in the plain ring and deg q < alpha in the quotient.
+    The plain-ring bound can miss a quotient: (1 + 2x)^2 = 1 over Z/4,
+    yet divides_witness(1 + 2x, 1) is None.
     """
     if f.k != g.k:
         raise ModulusMismatch(f"k={f.k} vs k={g.k}")
@@ -330,28 +332,20 @@ def divides_witness(f: Poly, g: Poly, alpha: int | None = None):
                 return q
         if alpha is None:
             return None
-    if alpha is None:
-        if f.is_zero():
-            return None
-        deg_q = g.degree()
-        rows = deg_q + f.degree() + 1
-        matrix = [
-            [f.coeff(e - i) if 0 <= e - i else 0 for i in range(deg_q + 1)]
-            for e in range(rows)
-        ]
-        sol = solve_linear_mod2k(LinearSystem(tuple(map(tuple, matrix)), tuple(g.coeff(e) for e in range(rows)), k))
-        return Poly(sol, k) if sol is not None else None
-
-    fr = f.reduce_cyclic(alpha)
-    gr = g.reduce_cyclic(alpha)
-    if fr.is_zero():
-        return Poly.zero(k) if gr.is_zero() else None
-    matrix = [[0] * alpha for _ in range(alpha)]
-    for i in range(alpha):
-        for j in range(alpha):
-            matrix[(i + j) % alpha][i] += fr.coeff(j)
+    if alpha is not None:
+        f, g = f.reduce_cyclic(alpha), g.reduce_cyclic(alpha)
+    if f.is_zero():
+        return Poly.zero(k) if g.is_zero() else None
+    # the matrix of q -> q*f: column i is x^i*f, its coefficient j in row
+    # (i + j) % size; only the quotient ring wraps
+    ncols = g.degree() + 1 if alpha is None else alpha
+    size = ncols + f.degree() if alpha is None else alpha
+    matrix = [[0] * ncols for _ in range(size)]
+    for i in range(ncols):
+        for j, c in enumerate(f.coeffs):
+            matrix[(i + j) % size][i] = c
     sol = solve_linear_mod2k(
-        LinearSystem(tuple(map(tuple, matrix)), tuple(gr.coeff(e) for e in range(alpha)), k)
+        LinearSystem(tuple(map(tuple, matrix)), tuple(g.coeff(e) for e in range(size)), k)
     )
     return Poly(sol, k) if sol is not None else None
 
