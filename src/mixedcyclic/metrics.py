@@ -12,6 +12,7 @@ Scans weigh packed words (codespace.Packing) with packed_weigher.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
 from .codespace import Codeword
@@ -50,6 +51,12 @@ def mixed_weight(v: Codeword):
     return sum(map(lee_weight, v.flat(), v.profile.packing.levels))  # Lee mod 2 is Hamming
 
 
+@functools.cache
+def _lee_table(i):
+    """Lee weights mod 2^i of the 256 byte values, built once per level."""
+    return bytes(lee_weight(u, i) for u in range(256))
+
+
 def packed_weigher(packing):
     """The mixed weight of a packed word, read from its bytes.
 
@@ -59,10 +66,7 @@ def packed_weigher(packing):
     """
     if packing.field_bytes > 1:
         return lambda w: sum(map(lee_weight, packing.unpack(w), packing.levels))
-    cuts, lo = [], 0
-    for i, a in enumerate(packing.profile.alphas, start=1):
-        cuts.append((slice(lo, lo + a), bytes(lee_weight(u, i) for u in range(256))))
-        lo += a
+    cuts = [(slice(lo, hi), _lee_table(i)) for i, (lo, hi) in enumerate(packing.blocks, start=1)]
 
     def weigh(w):
         raw = packing.unpack(w)  # the fields' bytes, in flat() order

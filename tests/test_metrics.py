@@ -137,6 +137,19 @@ def test_packed_weight_is_mixed_weight_on_every_residue(alphas):
         assert weigh(packing.pack(flat)) == mixed_weight(from_flat(prof, flat)), flat
 
 
+def test_lee_tables_are_built_once_per_level(monkeypatch):
+    import mixedcyclic.metrics as metrics
+
+    packed_weigher(AlphabetProfile((3, 3, 1, 3)).packing)  # levels 1-4
+    real, calls = metrics.lee_weight, []
+    monkeypatch.setattr(metrics, "lee_weight", lambda u, k: calls.append(k) or real(u, k))
+    prof = AlphabetProfile((7, 7))
+    weigh = packed_weigher(prof.packing)
+    assert calls == []
+    v = Codeword(prof, ((1, 0, 0, 0, 0, 0, 1), (3, 2, 0, 0, 0, 0, 0)))
+    assert weigh(v.w) == mixed_weight(v) == 5
+
+
 def test_distance_examples():
     prof = AlphabetProfile((1, 1))
     u = Codeword(prof, ((0,), (0,)))
