@@ -16,8 +16,9 @@ j = 0 and Z/2^(i-j) for j >= 1; the code size is 2^t with
 Enumeration walks the coefficient tuples lexicographically with the
 lowest (i, j, k) position varying fastest, so streams are reproducible
 and an index range addresses a contiguous slice (the partition contract
-used for threaded scans).  The walk runs on packed words (codespace.Packing),
-one add and one mask a step; Codewords are built only at the API edge.
+used for threaded scans).  The walk adds packed words (codespace.Packing) in
+Four-Russians chunks, a table of the lowest digits' sums plus each partial
+sum of the others; Codewords are built only at the API edge.
 
 Membership is exact: these rows can miss part of C (unit layers, even
 leads), so it reduces the packed, embedded word against the Howell form of
@@ -28,10 +29,13 @@ a time until a shift adds nothing; the dual in duality starts from it too.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .codespace import BudgetExceeded, Codeword, ProfileMismatch, from_polys, scalar_action
 from .generators import Cofactors, StructuredGenerators
 from .modring import Howell
+
+_TABLE_LIMIT = 1 << 12  # positions in one chunk table of iter_packed_range
 
 
 class SpanningSet:
@@ -121,38 +125,52 @@ def iter_codeword_range(s: SpanningSet, start: int, stop: int):
 
 
 def iter_packed_range(s: SpanningSet, start: int, stop: int):
-    """Yield enumeration positions [start, stop) in order, as packed words;
-    the range ends at the end of the stream.
+    """Enumeration positions [start, stop) in order, as packed words; the
+    range ends at the end of the stream.
 
-    An odometer over the coefficient digits with a partial-sum stack and
-    a table multiples[t][d] = d*row_t built by repeated addition, so each
-    step costs one big-int addition and one & mask, and no row is scaled.
+    A Four-Russians walk (the table of M4RI): the lowest digits, as many as
+    span at most min(_TABLE_LIMIT, stop - start) positions, become a table of
+    all their sums d*row_t, one comprehension a digit; an odometer over the
+    other digits adds its partial sum to the whole table, one comprehension
+    a step.  The chunks are chained, so consumers pull words at C speed.
     """
     packing = s.profile.packing
-    mask = packing.mask
-    radices = _digit_radices(s)
-    ndig = len(radices)
+    mask, radices = packing.mask, _digit_radices(s)
+    stop = min(stop, span_size(s))
+    if start >= stop:
+        return iter(())
     multiples = [packing.multiples(row.w, radix) for radix, (_, row) in zip(radices, s.rows)]
-    digits = []
-    rem = start
+    table, low = [0], 0
+    while low < len(radices) and len(table) * radices[low] <= min(_TABLE_LIMIT, stop - start):
+        table = [(x + m) & mask for m in multiples[low] for x in table]
+        low += 1
+    return itertools.chain.from_iterable(
+        _table_chunks(table, radices[low:], multiples[low:], mask, start, stop))
+
+
+def _table_chunks(table, radices, multiples, mask, start, stop):
+    """The chunks of iter_packed_range: table plus each partial sum of the
+    high digits, from the chunk holding start to the one holding stop - 1."""
+    size = len(table)
+    (first, lo), (last, hi) = divmod(start, size), divmod(stop - 1, size)
+    digits, rem = [], first
     for r in radices:
         digits.append(rem % r)
         rem //= r
-    # sums[t] = contribution of digits t.. end; sums[ndig] = 0
-    sums = [0] * (ndig + 1)
-    for t in range(ndig - 1, -1, -1):
+    sums = [0] * (len(radices) + 1)  # sums[t]: the high digits t.. end
+    for t in range(len(radices) - 1, -1, -1):
         sums[t] = (sums[t + 1] + multiples[t][digits[t]]) & mask
-    for _ in range(start, min(stop, span_size(s))):
-        yield sums[0]
+    for h in range(first, last + 1):
+        part = table[lo if h == first else 0:hi + 1 if h == last else size]
+        yield [(sums[0] + x) & mask for x in part] if sums[0] else part
         t = 0
-        while t < ndig and digits[t] == radices[t] - 1:
+        while t < len(radices) and digits[t] == radices[t] - 1:
             digits[t] = 0
             t += 1
-        if t == ndig:
-            return
-        digits[t] += 1
-        sums[t] = (sums[t + 1] + multiples[t][digits[t]]) & mask
-        sums[:t] = [sums[t]] * t  # the digits below t are back at zero
+        if t < len(radices):
+            digits[t] += 1
+            sums[t] = (sums[t + 1] + multiples[t][digits[t]]) & mask
+            sums[:t] = [sums[t]] * t  # the digits below t are back at zero
 
 
 def enumerate_codewords(s: SpanningSet, budget=1 << 16):
