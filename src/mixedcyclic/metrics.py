@@ -7,7 +7,9 @@ unit-vector recurrence (consecutive images differ in exactly one place)
 and turns Lee weight into Hamming weight on the nose.  Level 1 embeds
 bits verbatim.
 
-Scans weigh packed words (codespace.Packing) with packed_weigher.
+Scans weigh packed words (codespace.Packing) with packed_weigher: at one
+byte a field, one add moves every level into its own range of a single
+256-entry Lee table, so a word's bytes are translated and summed at once.
 """
 
 from __future__ import annotations
@@ -52,27 +54,29 @@ def mixed_weight(v: Codeword):
 
 
 @functools.cache
-def _lee_table(i):
-    """Lee weights mod 2^i of the 256 byte values, built once per level."""
-    return bytes(lee_weight(u, i) for u in range(256))
+def _lee_table():
+    """One table for every level at one byte a field: byte 2^i - 2 + u holds
+    the Lee weight of u mod 2^i, i = 1..7 (the ranges tile 0..253)."""
+    table = bytearray(256)
+    for i in range(1, 8):
+        for u in range(1 << i):
+            table[(1 << i) - 2 + u] = lee_weight(u, i)
+    return bytes(table)
 
 
 def packed_weigher(packing):
     """The mixed weight of a packed word, read from its bytes.
 
-    At one byte a field, block i goes through a 256-entry table of Lee
-    weights mod 2^i (Hamming at i = 1) and the translated bytes are summed;
-    wider fields (n >= 8) are decoded.
+    At one byte a field (n <= 7) one add puts field u of level i at
+    2^i - 2 + u, which stays below 255 and so carries into no other
+    field, and the shared _lee_table translates every byte at once
+    (Hamming weight at i = 1); wider fields (n >= 8) are decoded.
     """
     if packing.field_bytes > 1:
         return lambda w: sum(map(lee_weight, packing.unpack(w), packing.levels))
-    cuts = [(slice(lo, hi), _lee_table(i)) for i, (lo, hi) in enumerate(packing.blocks, start=1)]
-
-    def weigh(w):
-        raw = packing.unpack(w)  # the fields' bytes, in flat() order
-        return sum(b"".join([raw[cut].translate(table) for cut, table in cuts]))
-
-    return weigh
+    table, nbytes = _lee_table(), packing.nbytes
+    offset = packing.pack([(1 << i) - 2 for i in packing.levels])
+    return lambda w: sum((w + offset).to_bytes(nbytes, "big").translate(table))
 
 
 def mixed_distance(u: Codeword, v: Codeword):
