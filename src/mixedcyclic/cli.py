@@ -383,9 +383,8 @@ def main(argv=None):
         return 2
     if args.json:
         print(report.to_json())
-    else:
-        for line in lines:
-            print(line)
+    elif lines:
+        print("\n".join(lines))
     print(f"# wall_time={report.wall_time:.6f}s", file=sys.stderr)
     return code
 
