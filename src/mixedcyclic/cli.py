@@ -74,22 +74,23 @@ def _expect(cond, path, msg):
         raise SchemaError(f"{path}: {msg}")
 
 
-def _coeff_array(raw, path, level):
+def _coeff_array(raw, path, level, ranged):
     _expect(isinstance(raw, list), path, "expected a coefficient array")
     mod = 1 << level
     for pos, v in enumerate(raw):
         if type(v) is not int:
             raise SchemaError(f"{path}[{pos}]: coefficient must be an integer")
-        if not 0 <= v < mod:
+        if ranged and not 0 <= v < mod:
             raise SchemaError(
                 f"{path}[{pos}]: coefficient {v} out of range [0, {mod}) for level {level}")
     return Poly(tuple(raw), level)
 
 
-def _level(raw, path, level):
-    """A level's arrays, read mod 2^level (l_{ij} is written at level i)."""
+def _level(raw, path, level, ranged):
+    """A level's arrays, read mod 2^level (l_{ij} is written at level i); ranged
+    when the list holds every level, so a dropped level reports its count."""
     _expect(isinstance(raw, list), path, "expected a list of coefficient arrays")
-    return tuple(_coeff_array(arr, f"{path}[{j}]", level) for j, arr in enumerate(raw))
+    return tuple(_coeff_array(arr, f"{path}[{j}]", level, ranged) for j, arr in enumerate(raw))
 
 
 def load_code_spec(text: str) -> StructuredGenerators:
@@ -121,9 +122,11 @@ def load_code_spec(text: str) -> StructuredGenerators:
 
     a_doc, l_doc = doc.get("a"), doc.get("l", [])
     _expect(isinstance(a_doc, list), "a", "expected a list of levels")
-    a_layers = tuple(_level(arrays, f"a[{i - 1}]", i) for i, arrays in enumerate(a_doc, start=1))
+    a_layers = tuple(_level(arrays, f"a[{i - 1}]", i, len(a_doc) == n)
+                     for i, arrays in enumerate(a_doc, start=1))
     _expect(isinstance(l_doc, list), "l", "expected a list of levels")
-    l_mix = tuple(_level(arrays, f"l[{i - 2}]", i) for i, arrays in enumerate(l_doc, start=2))
+    l_mix = tuple(_level(arrays, f"l[{i - 2}]", i, len(l_doc) == n - 1)
+                  for i, arrays in enumerate(l_doc, start=2))
     try:
         return StructuredGenerators(profile, a_layers, l_mix)
     except ValueError as err:

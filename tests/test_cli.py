@@ -80,6 +80,22 @@ def test_family_shape_errors_name_the_field(doc, path):
         load_code_spec(doc)
 
 
+_A855 = '"a": [[[1, 0, 1]], [[3, 0, 2], [3]], [[3, 2], [3], [3, 0, 2]]]'
+
+
+@pytest.mark.parametrize("doc, message", [
+    # a[1] dropped: the old a[2], legal mod 8, now sits at level 2 with a 7
+    ('{"n":3,"alphas":[8,5,5],"a":[[[1,0,1]],[[7,2],[3],[3,0,2]]],"l":[[[1,1]],[[1,1],[0,3]]]}',
+     "a: must hold one layer list per level (n=3)"),
+    # l[0] dropped: the old l[1], with a 5 legal mod 8, now sits at level 2
+    ('{"n": 3, "alphas": [8, 5, 5], ' + _A855 + ', "l": [[[5, 1], [0, 3]]]}',
+     "l: must hold one mixing list per level 2..3"),
+], ids=["a", "l"])
+def test_a_dropped_level_is_reported_by_the_count_not_the_shifted_ranges(doc, message):
+    with pytest.raises(SchemaError, match="^" + re.escape(message) + "$"):
+        load_code_spec(doc)
+
+
 def test_out_of_range_coefficient_is_an_error_not_a_reduction():
     # 3 is a legal residue mod 4 but not mod 2
     with pytest.raises(SchemaError, match="out of range"):
