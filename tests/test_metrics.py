@@ -122,9 +122,11 @@ def test_packed_weight_is_mixed_weight_on_the_kernel_families():
             assert weigh(packing.pack(w.flat())) == mixed_weight(w), (name, w.to_text())
 
 
-@pytest.mark.parametrize("alphas", [(2, 3), (3, 3, 1, 3), (1,) * 8, (1,) * 16])
+@pytest.mark.parametrize("alphas", [(2, 3), (3, 3, 1, 3), (1, 1, 1, 1, 3), (1,) * 7, (1,) * 8,
+                                    (1,) * 16])
 def test_packed_weight_is_mixed_weight_on_every_residue(alphas):
-    # levels 8 and up do not fit a byte: their fields are decoded, not looked up
+    # up to level 7 every field is offset into the one Lee table; levels 8
+    # and up do not fit a byte: their fields are decoded, not looked up
     prof = AlphabetProfile(alphas)
     packing = prof.packing
     weigh = packed_weigher(packing)
