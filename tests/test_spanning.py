@@ -1,9 +1,12 @@
 """Spanning sets: block sizes, counting, enumeration, membership, matrices."""
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixedcyclic.cli as cli
 import mixedcyclic.spanning as spanning
@@ -27,8 +30,9 @@ from mixedcyclic.spanning import (
     span_size,
 )
 
-from conftest import (EVEN_LEAD_A2, UNIT_LAYER_A2, codeword_path, family_33, kernel_families,
-                      make_generators, pool_echelon, same_module, written_out_rows)
+from conftest import (DEMO_CODES, EVEN_LEAD_A2, UNIT_LAYER_A2, codeword_path, family_33,
+                      kernel_families, make_generators, pool_echelon, same_module,
+                      written_out_rows)
 from test_random_families import _random_family
 
 
@@ -144,6 +148,54 @@ def test_partition_chunks_concatenate_to_the_whole_packed_stream():
         uneven = [(0, total // 3), (total // 3, total - 1), (total - 1, total)]
         for chunks in (partition_range(total, 2), partition_range(total, 3), uneven):
             assert [w for lo, hi in chunks for w in iter_packed_range(s, lo, hi)] == whole, name
+
+
+@functools.cache
+def _spanning_855():
+    """The (8,5,5) spanning set: its stream of 2^28 positions walks a full
+    table of 4,096 positions per chunk, unlike every kernel family."""
+    gens = cli.load_code_spec((DEMO_CODES / "three_level_855.json").read_text())
+    return spanning_for(gens)[1]
+
+
+def test_walk_across_each_power_of_two_is_the_codeword_path():
+    s = _spanning_855()
+    total = span_size(s)
+    slices = [(max(0, (1 << j) - 3), (1 << j) + 6) for j in range(21)] + [(total - 9, total)]
+    for start, stop in slices:
+        expected = [codeword_path(s, k) for k in range(start, stop)]
+        assert list(iter_codeword_range(s, start, stop)) == expected, (start, stop)
+
+
+def test_walk_across_full_table_boundaries_is_the_codeword_path():
+    # a slice longer than one table walks full tables and crosses their
+    # boundaries (multiples of _TABLE_LIMIT here) as well as 2^j
+    s, limit = _spanning_855(), spanning._TABLE_LIMIT
+    for j in range(21):
+        start = max(0, (1 << j) - 3)
+        stop = start + limit + 9
+        words = list(iter_packed_range(s, start, stop))
+        assert len(words) == stop - start
+        marks = [start + 2, stop - 3, 1 << j, *range(-(-start // limit) * limit, stop, limit)]
+        for k in sorted({k for m in marks for k in range(m - 2, m + 3) if start <= k < stop}):
+            assert words[k - start] == codeword_path(s, k).w, (j, k)
+        assert words == [w for lo in range(start, stop, 9)
+                         for w in iter_packed_range(s, lo, min(lo + 9, stop))], j
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_chained_stream_is_the_concatenation_of_partition_chunks(data):
+    s, limit = _spanning_855(), spanning._TABLE_LIMIT
+    total = span_size(s)
+    start = data.draw(st.one_of(st.integers(0, total),
+                                st.integers(0, total // limit).map(lambda q: q * limit)))
+    stop = data.draw(st.integers(start, start + 3 * limit))
+    cuts = sorted(data.draw(st.lists(st.integers(start, stop), max_size=5)))
+    bounds = [start, *cuts, stop]
+    whole = list(iter_packed_range(s, start, stop))
+    assert len(whole) == max(0, min(stop, total) - start)
+    assert whole == [w for lo, hi in zip(bounds, bounds[1:]) for w in iter_packed_range(s, lo, hi)]
 
 
 def test_enumeration_budget(toy2):
