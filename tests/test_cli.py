@@ -1,6 +1,7 @@
 """CLI: document loading, command outputs, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import re
 import subprocess
@@ -10,7 +11,9 @@ from collections import Counter
 import pytest
 
 from mixedcyclic.cli import SchemaError, build_parser, dispatch, load_code_spec, main
+from mixedcyclic.closure import module_closure
 from mixedcyclic.generators import validate_generators
+from mixedcyclic.metrics import weight_distribution
 from mixedcyclic.modring import Poly
 
 DOCS = "demos/codes"
@@ -444,3 +447,37 @@ def test_budget_space_bounds_the_words_dual_lists(capsys):
     assert "error: dual has 2^3 words, budget 4\n" in captured.err
     assert main(["dual", doc, "--budget-space", "8"]) == 0
     assert capsys.readouterr().out == _golden_stdout(["dual", doc])
+
+
+# 2^14 words on (7,7,5) with a mixing polynomial: the walk builds tables of
+# 2,048 positions, so a scan crosses seven table boundaries
+MIDSIZE = "tests/data/midsize_775.json"
+MIDSIZE_DISTRIBUTION = ("d=2\nweight,count\n0,1\n2,7\n4,49\n5,168\n6,343\n7,981\n8,1715\n"
+                        "9,2163\n10,2765\n11,2765\n12,2163\n13,1715\n14,981\n15,343\n16,168\n"
+                        "17,49\n19,7\n21,1\n")
+
+
+def _stdout(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_midsize_scans_are_pinned_and_the_same_at_every_thread_count(capsys):
+    for threads in ("1", "2", "3"):
+        enum = _stdout(capsys, "enum", MIDSIZE, "--threads", threads)
+        assert enum.splitlines()[-1] == "# distinct=16384 stream=16384"
+        assert hashlib.sha256(enum.encode()).hexdigest() == (
+            "7792509864df1dd2675b566c6cbb960176853e51e9f91e2991b112d9145de454"), threads
+        mindist = _stdout(capsys, "mindist", MIDSIZE, "--distribution", "--threads", threads)
+        assert mindist == MIDSIZE_DISTRIBUTION, threads
+
+
+def test_midsize_walk_and_distribution_agree_with_the_closure(capsys):
+    assert _stdout(capsys, "oracle-check", MIDSIZE).splitlines()[0] == "equal=true"
+    with open(MIDSIZE) as fh:
+        gens = load_code_spec(fh.read())
+    closure = module_closure(gens.generator_codewords(), budget=1 << 16)
+    assert closure.saturated and len(closure) == 1 << 14
+    dist = weight_distribution(map(gens.profile.packing.codeword, closure.words))
+    rows = MIDSIZE_DISTRIBUTION.splitlines()[2:]
+    assert dist == Counter({int(wt): int(count) for wt, count in (r.split(",") for r in rows)})
