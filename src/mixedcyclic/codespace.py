@@ -140,13 +140,6 @@ class Packing:
         """Inverse of embed, for a row in its image with entries reduced mod 2^n."""
         return self.pack([a >> e for a, e in zip(row, self.scales)])
 
-    def multiples(self, w, count):
-        """[0, w, 2w, ..., (count-1)w], by repeated addition."""
-        table = [0]
-        for _ in range(count - 1):
-            table.append((table[-1] + w) & self.mask)
-        return table
-
 
 class Codeword:
     """One element of the ambient module: block i is alpha_i residues mod 2^i,

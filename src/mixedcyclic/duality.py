@@ -6,8 +6,8 @@ mod 2^n:  u.v = sum_i 2^(n-i) <u_i, v_i> mod 2^n.  Scaling block i by
 (Z/2^n)^N, where the pairing is the plain dot product, so the dual is
 solved, not searched: dual_code takes the kernel mod 2^n of the code's
 echelon basis (a Howell form of [A^T | I]), reduces it mod 2^i in block i
-and embeds it again on packed words, and wraps each dual word it lists
-as a Codeword.
+and embeds it again on packed words, lists the span of that basis by
+spanning.walk, and wraps each dual word as a Codeword.
 brute_force_dual is the cross-check: it scans the whole ambient module
 at desk scale and tests each vector against a spanning family (each
 generator with all of its shifts), which suffices because the pairing
@@ -28,7 +28,7 @@ from .codespace import (
     partition_range,
 )
 from .modring import echelon_mod2k, transpose_echelon
-from .spanning import code_echelon
+from .spanning import code_echelon, walk
 
 
 def inner_product(u: Codeword, v: Codeword):
@@ -123,8 +123,6 @@ def dual_code(generators, profile, budget=1 << 20):
     rows = [packing.unembed(row) for _, _, row in basis]
     # the shift is additive: C-perp is shift-closed iff every shifted basis row is in it
     cyclic = all(basis.reduce(basis.pack(packing.embed(packing.shift(w)))) is not None for w in rows)
-    words = [0]
-    for w, (_, v, _) in zip(rows, basis):  # multipliers c < 2^(n - v): every word once
-        multiples = packing.multiples(w, 1 << (n - v))
-        words = [(u + d) & packing.mask for u in words for d in multiples]
+    # multipliers c < 2^(n - v): every word once
+    words = walk(packing, rows, [1 << (n - v) for _, v, _ in basis], 0, 1 << exponent)
     return DualResult(tuple(map(packing.codeword, sorted(words))), cyclic)  # int order is flat() order

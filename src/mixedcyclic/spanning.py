@@ -16,9 +16,11 @@ j = 0 and Z/2^(i-j) for j >= 1; the code size is 2^t with
 Enumeration walks the coefficient tuples lexicographically with the
 lowest (i, j, k) position varying fastest, so streams are reproducible
 and an index range addresses a contiguous slice (the partition contract
-used for threaded scans).  The walk adds packed words (codespace.Packing) in
-Four-Russians chunks, a table of the lowest digits' sums plus each partial
-sum of the others; Codewords are built only at the API edge.
+used for threaded scans).  walk, the one enumeration of a span, adds packed
+words (codespace.Packing) over any rows and radices in Four-Russians chunks,
+a table of the lowest digits' sums plus each partial sum of the others; the
+dual in duality lists C-perp's basis through it too.  Codewords are built
+only at the API edge.
 
 Membership is exact: these rows can miss part of C (unit layers, even
 leads), so it reduces the packed, embedded word against the Howell form of
@@ -30,22 +32,23 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from .codespace import BudgetExceeded, Codeword, ProfileMismatch, from_polys, scalar_action
 from .generators import Cofactors, StructuredGenerators
 from .modring import Howell
 
-_TABLE_LIMIT = 1 << 12  # positions in one chunk table of iter_packed_range
+_TABLE_LIMIT = 1 << 12  # positions in one chunk table of walk
 
 
 class SpanningSet:
     """Ordered labelled rows; label (i, j, k) means x^k times base (i, j)."""
 
-    def __init__(self, profile, rows, counts, coeff_bits, family, warnings=()):
+    def __init__(self, profile, rows, counts, radices, family, warnings=()):
         self.profile, self.family, self.warnings = profile, family, warnings
         self.rows = rows  # of (label, Codeword)
         self.counts = counts  # (i, j) -> row count
-        self.coeff_bits = coeff_bits  # (i, j) -> coefficient modulus exponent
+        self.radices = radices  # per row: its coefficient modulus 2^i or 2^(i-j)
 
     @functools.cached_property
     def echelon(self):
@@ -67,16 +70,16 @@ def _base_row(g: StructuredGenerators, c: Cofactors, i, j):
 
 def build_spanning_set(g: StructuredGenerators, c: Cofactors) -> SpanningSet:
     """Assemble all blocks; zero rows and duplicates are kept but flagged."""
-    rows, counts, coeff_bits, packing = [], {}, {}, g.profile.packing
+    rows, counts, radices, packing = [], {}, [], g.profile.packing
     warnings, seen = list(c.warnings), {}  # seen: packed row -> its labels
     for i in g.profile.levels():
         for j in range(i):
             count = c.h_rows[(i, 0)] if j == 0 else c.m_rows[(i, j)]
             counts[(i, j)] = count
-            coeff_bits[(i, j)] = i if j == 0 else i - j
             if count == 0:
                 continue
             w = _base_row(g, c, i, j).w
+            radices += [1 << (i if j == 0 else i - j)] * count
             for k in range(count):
                 rows.append(((i, j, k), packing.codeword(w)))
                 seen.setdefault(w, []).append((i, j, k))
@@ -86,7 +89,7 @@ def build_spanning_set(g: StructuredGenerators, c: Cofactors) -> SpanningSet:
     for _, labs in sorted(seen.items()):  # int order is flat() order
         if len(labs) > 1:
             warnings.append({"code": "duplicate_rows", "labels": labs})
-    return SpanningSet(g.profile, tuple(rows), counts, coeff_bits, g, tuple(warnings))
+    return SpanningSet(g.profile, tuple(rows), counts, tuple(radices), g, tuple(warnings))
 
 
 def codeword_count_exponent(c: Cofactors) -> int:
@@ -100,15 +103,8 @@ def codeword_count_exponent(c: Cofactors) -> int:
     return t
 
 
-def _digit_radices(s: SpanningSet):
-    return [1 << s.coeff_bits[lab[:2]] for lab, _ in s.rows]
-
-
 def span_size(s: SpanningSet) -> int:
-    total = 1
-    for r in _digit_radices(s):
-        total *= r
-    return total
+    return math.prod(s.radices)
 
 
 def codeword_at_index(s: SpanningSet, index: int) -> Codeword:
@@ -125,8 +121,15 @@ def iter_codeword_range(s: SpanningSet, start: int, stop: int):
 
 
 def iter_packed_range(s: SpanningSet, start: int, stop: int):
-    """Enumeration positions [start, stop) in order, as packed words; the
-    range ends at the end of the stream.
+    """Enumeration positions [start, stop) in order, as packed words: the
+    walk of the spanning rows with their radices."""
+    return walk(s.profile.packing, [row.w for _, row in s.rows], s.radices, start, stop)
+
+
+def walk(packing, rows, radices, start, stop):
+    """Positions [start, stop) of the span of the packed rows, position k
+    being sum_t d_t * rows[t] for the digits d_t < radices[t] of k (digit 0
+    fastest); the range is clamped to the stream's positions [0, prod(radices)).
 
     A Four-Russians walk (the table of M4RI): the lowest digits, as many as
     span at most min(_TABLE_LIMIT, stop - start) positions, become a table of
@@ -134,12 +137,16 @@ def iter_packed_range(s: SpanningSet, start: int, stop: int):
     other digits adds its partial sum to the whole table, one comprehension
     a step.  The chunks are chained, so consumers pull words at C speed.
     """
-    packing = s.profile.packing
-    mask, radices = packing.mask, _digit_radices(s)
-    stop = min(stop, span_size(s))
+    mask = packing.mask
+    start, stop = max(start, 0), min(stop, math.prod(radices))
     if start >= stop:
         return iter(())
-    multiples = [packing.multiples(row.w, radix) for radix, (_, row) in zip(radices, s.rows)]
+    multiples = []  # [0, w, 2w, ..., (radix-1)w] a row, by repeated addition
+    for w, radix in zip(rows, radices):
+        table = [0]
+        for _ in range(radix - 1):
+            table.append((table[-1] + w) & mask)
+        multiples.append(table)
     table, low = [0], 0
     while low < len(radices) and len(table) * radices[low] <= min(_TABLE_LIMIT, stop - start):
         table = [(x + m) & mask for m in multiples[low] for x in table]
@@ -149,8 +156,8 @@ def iter_packed_range(s: SpanningSet, start: int, stop: int):
 
 
 def _table_chunks(table, radices, multiples, mask, start, stop):
-    """The chunks of iter_packed_range: table plus each partial sum of the
-    high digits, from the chunk holding start to the one holding stop - 1."""
+    """The chunks of walk: table plus each partial sum of the high digits,
+    from the chunk holding start to the one holding stop - 1."""
     size = len(table)
     (first, lo), (last, hi) = divmod(start, size), divmod(stop - 1, size)
     digits, rem = [], first

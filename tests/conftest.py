@@ -70,15 +70,22 @@ def family_33(a_2):
     return make_generators([3, 3], [[[1, 1]], a_2], [[[1]]])
 
 
+def label_radix(label):
+    """The multiplier range of row (i, j, k) by the paper's rule: Z/2^i for
+    j = 0, Z/2^(i-j) otherwise."""
+    i, j, _ = label
+    return 1 << (i if j == 0 else i - j)
+
+
 def codeword_path(s, index):
     """Position index of the enumeration of s, summed over plain tuples: digit t
-    of index (radix 2^coeff_bits of row t, digit 0 fastest) times row t, with
+    of index (radix label_radix of row t, digit 0 fastest) times row t, with
     coordinate p reduced mod 2^(its level) by hand; only the result becomes a
     Codeword."""
     levels = [i for i, a in enumerate(s.profile.alphas, start=1) for _ in range(a)]
     acc = [0] * len(levels)
-    for (i, j, _), row in s.rows:
-        index, d = divmod(index, 1 << s.coeff_bits[(i, j)])
+    for label, row in s.rows:
+        index, d = divmod(index, label_radix(label))
         acc = [a + d * c for a, c in zip(acc, row.flat())]
     return Codeword(s.profile, _blocks(s.profile, [a % (1 << i) for a, i in zip(acc, levels)]))
 

@@ -82,6 +82,15 @@ def test_dual_of_zero_and_full():
     assert res.cyclic_flag
 
 
+def test_solved_dual_of_zero_lists_every_word_across_walk_tables():
+    # 2^15 words: the walk of the dual's basis runs through several chunk tables
+    prof = AlphabetProfile((5, 5))
+    res = dual_code([Codeword.zero(prof)], prof, budget=1 << 16)
+    ranges = [range(1 << i) for i, a in enumerate(prof.alphas, start=1) for _ in range(a)]
+    assert [w.flat() for w in res.dual_codewords] == list(itertools.product(*ranges))
+    assert res.cyclic_flag
+
+
 def test_dual_orthogonal_to_whole_code_and_cyclic():
     prof = AlphabetProfile((3, 3))
     seed = Codeword(prof, ((1, 1, 0), (1, 1, 3)))

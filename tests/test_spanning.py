@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -31,8 +32,8 @@ from mixedcyclic.spanning import (
 )
 
 from conftest import (DEMO_CODES, EVEN_LEAD_A2, UNIT_LAYER_A2, codeword_path, family_33,
-                      kernel_families, make_generators, pool_echelon, same_module,
-                      written_out_rows)
+                      kernel_families, label_radix, make_generators, pool_echelon,
+                      same_module, written_out_rows)
 from test_random_families import _random_family
 
 
@@ -135,9 +136,11 @@ def test_packed_stream_resumes_at_any_offset(example855):
     # the (8,5,5) stream has 2^24 positions: only slices of it are walked
     for name, s in kernel_families() + [("example855", spanning_for(example855)[1])]:
         total = span_size(s)
-        # starts at and past the end yield nothing, not wrapped-around words
-        for start in {0, total - 1, total, total + 5, *rng.sample(range(total), min(6, total))}:
-            expected = [codeword_path(s, k) for k in range(start, min(start + 9, total))]
+        # starts at and past the end yield nothing, not wrapped-around words;
+        # starts before 0 begin at position 0
+        for start in {0, total - 1, total, total + 5, -1, -3, -total,
+                      *rng.sample(range(total), min(6, total))}:
+            expected = [codeword_path(s, k) for k in range(max(start, 0), min(start + 9, total))]
             assert list(iter_codeword_range(s, start, start + 9)) == expected, (name, start)
 
 
@@ -196,6 +199,38 @@ def test_chained_stream_is_the_concatenation_of_partition_chunks(data):
     whole = list(iter_packed_range(s, start, stop))
     assert len(whole) == max(0, min(stop, total) - start)
     assert whole == [w for lo, hi in zip(bounds, bounds[1:]) for w in iter_packed_range(s, lo, hi)]
+
+
+def _walk_reference(levels, rows, radices, k):
+    """Position k of the span over plain ints: the digits of k (digit 0
+    fastest) times the coordinate rows, summed and reduced mod 2^level."""
+    acc = [0] * len(levels)
+    for row, radix in zip(rows, radices):
+        k, d = divmod(k, radix)
+        acc = [a + d * c for a, c in zip(acc, row)]
+    return [a % (1 << i) for a, i in zip(acc, levels)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_walk_is_the_digit_sum_over_any_rows_and_radices(data):
+    # rows and radices no spanning set produces: zero and arbitrary reduced
+    # words, radices 1..2^n, no rows at all, two-byte fields at n = 8
+    n = data.draw(st.one_of(st.just(8), st.integers(1, 7)))
+    alphas = data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    packing = AlphabetProfile(alphas, allow_nonstandard=True).packing
+    levels = [i for i, a in enumerate(alphas, start=1) for _ in range(a)]
+    word = st.one_of(st.just([0] * len(levels)),
+                     st.tuples(*[st.integers(0, (1 << i) - 1) for i in levels]).map(list))
+    rows = data.draw(st.lists(word, max_size=5))
+    radices = data.draw(st.lists(st.sampled_from([1 << e for e in range(n + 1)]),
+                                 min_size=len(rows), max_size=len(rows)))
+    total, limit = math.prod(radices), spanning._TABLE_LIMIT
+    start = data.draw(st.integers(-3, total))
+    stop = start + data.draw(st.one_of(st.integers(0, 3 * limit), st.integers(limit, 3 * limit)))
+    words = spanning.walk(packing, [packing.pack(r) for r in rows], radices, start, stop)
+    assert [list(packing.unpack(w)) for w in words] == [
+        _walk_reference(levels, rows, radices, k) for k in range(max(start, 0), min(stop, total))]
 
 
 def test_enumeration_budget(toy2):
@@ -383,7 +418,7 @@ def test_enumeration_scales_each_row_once(binary7, toy2, tower111, monkeypatch):
             mp.setattr(Codeword, "__post_init__", counted)
             total = sum(1 for _ in enumerate_codewords(s))
         assert total == span_size(s)
-        radices = [1 << s.coeff_bits[(i, j)] for (i, j, _), _ in s.rows]
+        radices = [label_radix(label) for label, _ in s.rows]
         assert built <= total + sum(r - 1 for r in radices), (built, total)
 
 
@@ -408,7 +443,7 @@ def test_enumeration_wraps_one_codeword_per_word(binary7, toy2, tower111, monkey
         _, s = spanning_for(g)
         wrapped, total = _count_wraps(monkeypatch, lambda: sum(1 for _ in enumerate_codewords(s)))
         assert total == span_size(s)
-        radices = [1 << s.coeff_bits[(i, j)] for (i, j, _), _ in s.rows]
+        radices = [label_radix(label) for label, _ in s.rows]
         assert wrapped <= total + sum(r - 1 for r in radices), (wrapped, total)
 
 
