@@ -23,9 +23,9 @@ from .codespace import Codeword, ProfileMismatch
 
 
 class ClosureResult:
-    def __init__(self, words, profile, generator_count, saturated):
+    def __init__(self, words, profile, saturated):
         self.words = words  # frozenset of packed words (profile.packing)
-        self.profile, self.generator_count, self.saturated = profile, generator_count, saturated
+        self.profile, self.saturated = profile, saturated
 
     def __len__(self):
         return len(self.words)
@@ -95,4 +95,4 @@ def module_closure(seeds, budget=1 << 20) -> ClosureResult:
     if saturated:
         for b in elements:
             assert packing.shift(b) in elements
-    return ClosureResult(frozenset(elements), profile, len(seeds), saturated)
+    return ClosureResult(frozenset(elements), profile, saturated)

@@ -59,10 +59,6 @@ class Poly:
         """The polynomial x^alpha - 1, the modulus of the cyclic quotient."""
         return cls((-1,) + (0,) * (alpha - 1) + (1,), k)
 
-    @property
-    def modulus(self):
-        return 1 << self.k
-
     def degree(self):
         """Formal degree; None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None

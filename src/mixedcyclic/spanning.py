@@ -18,9 +18,9 @@ lowest (i, j, k) position varying fastest, so streams are reproducible
 and an index range addresses a contiguous slice (the partition contract
 used for threaded scans).  walk, the one enumeration of a span, adds packed
 words (codespace.Packing) over any rows and radices in Four-Russians chunks,
-a table of the lowest digits' sums plus each partial sum of the others; the
-dual in duality lists C-perp's basis through it too.  Codewords are built
-only at the API edge.
+a table of the lowest digits' sums plus the sum of the others that each
+chunk's index picks; the dual in duality lists C-perp's basis through it
+too.  Codewords are built only at the API edge.
 
 Membership is exact: these rows can miss part of C (unit layers, even
 leads), so it reduces the packed, embedded word against the Howell form of
@@ -133,14 +133,13 @@ def walk(packing, rows, radices, start, stop):
 
     A Four-Russians walk (the table of M4RI): the lowest digits, as many as
     span at most min(_TABLE_LIMIT, stop - start) positions, become a table of
-    all their sums d*row_t, one comprehension a digit; an odometer over the
-    other digits adds its partial sum to the whole table, one comprehension
-    a step.  The chunks are chained, so consumers pull words at C speed.
+    all their sums d*row_t, one comprehension a digit; each chunk adds to the
+    whole table the sum of the other digits' multiples that its own index
+    gives, one comprehension a chunk.  The chunks are chained, so consumers
+    pull words at C speed; an empty range yields nothing.
     """
     mask = packing.mask
     start, stop = max(start, 0), min(stop, math.prod(radices))
-    if start >= stop:
-        return iter(())
     multiples = []  # [0, w, 2w, ..., (radix-1)w] a row, by repeated addition
     for w, radix in zip(rows, radices):
         table = [0]
@@ -156,28 +155,19 @@ def walk(packing, rows, radices, start, stop):
 
 
 def _table_chunks(table, radices, multiples, mask, start, stop):
-    """The chunks of walk: table plus each partial sum of the high digits,
-    from the chunk holding start to the one holding stop - 1."""
+    """The chunks of walk, from the one holding start to the one holding
+    stop - 1: chunk c is table plus the sum that c's mixed-radix digits pick
+    from the high rows' multiples, masked after every add (a field has room
+    for n + 1 bits: a sum of two words, not always of three)."""
     size = len(table)
     (first, lo), (last, hi) = divmod(start, size), divmod(stop - 1, size)
-    digits, rem = [], first
-    for r in radices:
-        digits.append(rem % r)
-        rem //= r
-    sums = [0] * (len(radices) + 1)  # sums[t]: the high digits t.. end
-    for t in range(len(radices) - 1, -1, -1):
-        sums[t] = (sums[t + 1] + multiples[t][digits[t]]) & mask
-    for h in range(first, last + 1):
-        part = table[lo if h == first else 0:hi + 1 if h == last else size]
-        yield [(sums[0] + x) & mask for x in part] if sums[0] else part
-        t = 0
-        while t < len(radices) and digits[t] == radices[t] - 1:
-            digits[t] = 0
-            t += 1
-        if t < len(radices):
-            digits[t] += 1
-            sums[t] = (sums[t + 1] + multiples[t][digits[t]]) & mask
-            sums[:t] = [sums[t]] * t  # the digits below t are back at zero
+    for c in range(first, last + 1):
+        offset, q = 0, c
+        for radix, m in zip(radices, multiples):
+            q, d = divmod(q, radix)
+            offset = (offset + m[d]) & mask
+        part = table[lo if c == first else 0:hi + 1 if c == last else size]
+        yield [(offset + x) & mask for x in part] if offset else part
 
 
 def enumerate_codewords(s: SpanningSet, budget=1 << 16):

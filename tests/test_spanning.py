@@ -227,10 +227,27 @@ def test_walk_is_the_digit_sum_over_any_rows_and_radices(data):
                                  min_size=len(rows), max_size=len(rows)))
     total, limit = math.prod(radices), spanning._TABLE_LIMIT
     start = data.draw(st.integers(-3, total))
-    stop = start + data.draw(st.one_of(st.integers(0, 3 * limit), st.integers(limit, 3 * limit)))
+    stop = start + data.draw(st.one_of(st.integers(0, 16), st.integers(0, 3 * limit),
+                                       st.integers(limit, 3 * limit)))
     words = spanning.walk(packing, [packing.pack(r) for r in rows], radices, start, stop)
     assert [list(packing.unpack(w)) for w in words] == [
         _walk_reference(levels, rows, radices, k) for k in range(max(start, 0), min(stop, total))]
+
+
+def test_walk_sums_many_high_digits_at_one_byte_a_field():
+    # a 9-position slice keeps all 8 radix-128 digits above the table, so
+    # each chunk sums 8 multiples into fields of n + 1 = 8 bits: three
+    # words already carry into the next field unless every add is masked
+    packing, rng = AlphabetProfile((1, 1, 1, 1, 1, 1, 3)).packing, random.Random(7)
+    levels = packing.levels
+    rows = [[rng.randrange(1 << i) for i in levels] for _ in range(8)]
+    radices = [128] * 8
+    total = math.prod(radices)
+    starts = [0, total - 9, *(rng.randrange(total - 9) for _ in range(23))]
+    for start in starts:
+        words = spanning.walk(packing, [packing.pack(r) for r in rows], radices, start, start + 9)
+        assert [list(packing.unpack(w)) for w in words] == [
+            _walk_reference(levels, rows, radices, k) for k in range(start, start + 9)], start
 
 
 def test_enumeration_budget(toy2):
