@@ -286,7 +286,7 @@ def _cmd_oracle_check(gens, report, args):
 
 
 def _cmd_gray(args):
-    if 1 << (args.level - 1) > DEFAULT_SPACE_BUDGET:
+    if args.level > DEFAULT_SPACE_BUDGET.bit_length():  # 2^(level-1) > budget, without building it
         raise BudgetExceeded(f"gray --level {args.level}: the image would have 2^{args.level - 1} "
                              f"bits, over the budget of {DEFAULT_SPACE_BUDGET} bits")
     bits = gray_map(args.value, args.level)

@@ -44,12 +44,11 @@ from .modring import Poly, divides_witness
 class NotADivisor(ArithmeticError):
     """A required cofactor does not exist; identifies the failing spot."""
 
-    def __init__(self, level, index, role, detail=""):
+    def __init__(self, level, index, role):
         self.level = level
         self.index = index
         self.role = role
-        msg = f"not a divisor: {role} at (i={level}, j={index})"
-        super().__init__(msg + (f": {detail}" if detail else ""))
+        super().__init__(f"not a divisor: {role} at (i={level}, j={index})")
 
 
 class MixingSolveError(ArithmeticError):
@@ -159,9 +158,9 @@ class StructuredGenerators:
 def _derive_h(a: Poly, alpha: int):
     """Cofactor h with a*h = x^alpha - 1, or None.
 
-    Plain-ring division for unit-leading a: the right-hand side is the
-    quotient ring's zero, so the quotient-ring fallback would accept
-    everything.  Quotient-ring witness otherwise.
+    Plain-ring division for unit-leading a, since x^alpha - 1 is the
+    quotient ring's zero and every h would do there.  Any other layer
+    gets the quotient-ring cofactor, which is 0 for that same reason.
     """
     target = Poly.x_to_alpha_minus_1(alpha, a.k)
     return divides_witness(a, target, alpha=None if a.has_unit_lead() else alpha)
@@ -321,14 +320,13 @@ def validate_generators(g: StructuredGenerators, extend_iv=False) -> ValidationR
 
     # (iv): adjacent compatibility through d_i, for i = 2..n-1 as printed
     for i in range(2, profile.n):
-        hi = h.get((i + 1, i))
-        if i not in d or hi is None:
+        if i not in d:
             entries.append(ConditionEntry(
                 "iv", i, None, False, f"d_{i} unavailable (condition (iii) failed)"))
             continue
         k = i - 1
         bracket = (d[i].at_level(k) * g.l(i, i - 1).at_level(k)
-                   - hi.at_level(k) * g.l(i + 1, i - 1).at_level(k))
+                   - h[(i + 1, i)].at_level(k) * g.l(i + 1, i - 1).at_level(k))
         w = divides_witness(g.a_total(k), bracket, profile.alpha(k))
         entries.append(_entry(
             "iv", i, None,
@@ -348,7 +346,6 @@ def validate_generators(g: StructuredGenerators, extend_iv=False) -> ValidationR
         warnings.append(unit)
         cofactor_warnings.append(dict(unit))
 
-    entries.sort(key=lambda e: (e.condition, e.level, -1 if e.index is None else e.index))
     cofactors = None if gaps else Cofactors(h, m, d, h_rows, m_rows, tuple(cofactor_warnings))
     return ValidationReport(tuple(entries), profile.nonstandard, tuple(warnings), tuple(notes),
                             cofactors, gaps[0] if gaps else None)

@@ -307,31 +307,28 @@ def divides_witness(f: Poly, g: Poly, alpha: int | None = None):
     """A quotient q with q*f = g in the declared ring, or None.
 
     With alpha, the ring is Z/2^k[x]/(x^alpha - 1); without, Z/2^k[x].
-    This is the package's one division policy: a zero g returns zero
-    (sparing a zero bracket the alpha x alpha solve); a unit-leading f
-    with deg g >= deg f gets plain division, whose quotient is returned
-    when exact (it is then unique); without alpha a unit-leading f stops
-    there, and otherwise q is solved for as a linear system, with
-    deg q <= deg g in the plain ring and deg q < alpha in the quotient.
-    The plain-ring bound can miss a quotient: (1 + 2x)^2 = 1 over Z/4,
-    yet divides_witness(1 + 2x, 1) is None.
+    This is the package's one division policy, in order: plain division
+    for a unit-leading f when g != 0 and deg g >= deg f (an exact quotient
+    is unique); the fold by x^alpha = 1; a g that is zero in the ring
+    returns zero; a zero f, or a unit-leading f in the plain ring, returns
+    None; otherwise q is solved for as a linear system, with deg q <= deg g
+    in the plain ring and deg q < alpha in the quotient.  The plain-ring
+    bound can miss a quotient: (1 + 2x)^2 = 1 over Z/4, yet
+    divides_witness(1 + 2x, 1) is None.
     """
     if f.k != g.k:
         raise ModulusMismatch(f"k={f.k} vs k={g.k}")
     k = f.k
-    if g.is_zero():
-        return Poly.zero(k)
-    if f.has_unit_lead():
-        if g.degree() >= f.degree():
-            q, r = poly_divmod_unit_lead(g, f)
-            if r.is_zero():
-                return q
-        if alpha is None:
-            return None
+    if f.has_unit_lead() and not g.is_zero() and g.degree() >= f.degree():
+        q, r = poly_divmod_unit_lead(g, f)
+        if r.is_zero():
+            return q
     if alpha is not None:
         f, g = f.reduce_cyclic(alpha), g.reduce_cyclic(alpha)
-    if f.is_zero():
-        return Poly.zero(k) if g.is_zero() else None
+    if g.is_zero():
+        return Poly.zero(k)
+    if f.is_zero() or (alpha is None and f.has_unit_lead()):
+        return None
     # the matrix of q -> q*f: column i is x^i*f, its coefficient j in row
     # (i + j) % size; only the quotient ring wraps
     ncols = g.degree() + 1 if alpha is None else alpha

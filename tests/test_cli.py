@@ -3,9 +3,12 @@
 import argparse
 import hashlib
 import json
+import os
+import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -126,6 +129,17 @@ def test_count_command():
     _, lines, code = parse_and_dispatch("count", f"{DOCS}/toy_n2.json")
     assert code == 0
     assert lines == ["t=6, |C|=64"]
+
+
+def test_count_runs_on_the_standard_library_alone():
+    # -S leaves site-packages off sys.path, so an import of an installed package
+    # (numpy comes with the test extra) fails here
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys; from mixedcyclic.cli import main; "
+         f"sys.exit(main(['count', '{DOCS}/toy_n2.json']))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout) == (0, "t=6, |C|=64\n"), proc.stderr
 
 
 def test_gray_command():
@@ -418,6 +432,23 @@ def test_gray_level_whose_image_exceeds_the_budget_is_refused(level, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: gray --level {level}: " in captured.err
+
+
+def test_gray_budget_check_builds_no_image_sized_int(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["gray", "--level", "100000000", "--value", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: gray --level 100000000: the image would have 2^99999999 bits, "
+        "over the budget of 1048576 bits\n")
+    assert peak < 4 << 20
+    # the budget edge: 2^20 bits fit (level 22 is refused above)
+    assert main(["gray", "--level", "21", "--value", "1"]) == 0
+    assert len(capsys.readouterr().out) == (1 << 20) + 1
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -265,6 +265,9 @@ def test_divides_witness_zero_rhs_skips_the_solver(monkeypatch):
     for f in (P([2, 1, 2], 2), P([0, 2], 2), P([3, 0, 1], 2), Poly.zero(2)):
         for alpha in (None, 3):
             assert divides_witness(f, Poly.zero(2), alpha) == Poly.zero(2)
+        # x^3 - 1 and 2x^3 + 2 vanish only after the fold by x^3 = 1
+        for g in (Poly.x_to_alpha_minus_1(3, 2), P([2, 0, 0, 2], 2)):
+            assert divides_witness(f, g, 3) == Poly.zero(2), (f, g)
 
 
 def test_divides_witness_returns_the_plain_quotient_for_unit_lead():
