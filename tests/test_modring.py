@@ -334,3 +334,134 @@ def test_howell_engine_properties(data):
         # the Howell property: the saturation lies in the span of the later pivots
         assert pool_reduce([(c << (k - v)) % (1 << k) for c in row], pivots[t + 1:], k) is not None
     assert sum(k - v for _, v, _ in pivots) == sum(k - v for _, v, _ in pool_echelon(rows, k))
+
+
+# --- the layout against plain tuples --------------------------------------
+# References on coefficient tuples, ascending powers: reduce mod 2^k, then
+# strip trailing zeros.  The levels cross every field-width boundary of the
+# layout (k = 12/13, 28/29) and the lengths cross 256, where a product or a
+# long division at k = 12 and k = 28 runs out of spare bits per field.
+
+LAYOUT_LEVELS = (1, 2, 3, 8, 12, 13, 16, 17, 28, 29, 31, 32, 33, 64)
+
+
+def _norm(cs, k):
+    cs = [c % (1 << k) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_mul(a, b, k):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _norm(out, k)
+
+
+def _ref_fold(a, alpha, k):
+    out = [0] * alpha
+    for e, c in enumerate(a):
+        out[e % alpha] += c
+    return _norm(out, k)
+
+
+def _ref_divmod(g, f, k):
+    mod, df = 1 << k, len(f) - 1
+    inv, rem = pow(f[-1], -1, mod), list(g)
+    q = [0] * max(len(g) - df, 0)
+    for e in range(len(g) - 1, df - 1, -1):
+        t = rem[e] * inv % mod
+        q[e - df] = t
+        for j, c in enumerate(f):
+            rem[e - df + j] -= t * c
+    return _norm(q, k), _norm(rem, k)
+
+
+def _draw(rng, k, length):
+    top = (1 << k) - 1
+    return [rng.choice((0, 1, top, top - 1, 1 << (k - 1), rng.randrange(1 << k)))
+            for _ in range(length)]
+
+
+@pytest.mark.parametrize("k", LAYOUT_LEVELS)
+def test_layout_ring_operations_match_tuples(k):
+    rng = random.Random(k)
+    for _ in range(60):
+        a = _draw(rng, k, rng.randint(0, 12))
+        b = _draw(rng, k, rng.randint(0, 12))
+        p, q = Poly(a, k), Poly(b, k)
+        ra, rb = _norm(a, k), _norm(b, k)
+        assert p.coeffs == ra and q.coeffs == rb
+        assert p.degree() == (len(ra) - 1 if ra else None)
+        assert p.leading() == (ra[-1] if ra else 0)
+        assert p.has_unit_lead() == (bool(ra) and ra[-1] % 2 == 1)
+        n = max(len(a), len(b))
+        pad = lambda cs: list(cs) + [0] * (n - len(cs))
+        assert (p + q).coeffs == _norm([x + y for x, y in zip(pad(a), pad(b))], k)
+        assert (p - q).coeffs == _norm([x - y for x, y in zip(pad(a), pad(b))], k)
+        assert (-p).coeffs == _norm([-x for x in a], k)
+        c = rng.choice((0, 1, -1, 2, (1 << k) - 1, 1 << k, rng.randrange(-(1 << k), 1 << (k + 2))))
+        assert p.scale(c).coeffs == _norm([c * x for x in a], k)
+        assert (p * q).coeffs == _ref_mul(ra, rb, k)
+        alpha = rng.randint(1, 6)
+        assert p.reduce_cyclic(alpha).coeffs == _ref_fold(ra, alpha, k)
+        assert (p * q).reduce_cyclic(alpha).coeffs == _ref_fold(_ref_mul(ra, rb, k), alpha, k)
+
+
+@pytest.mark.parametrize("k", LAYOUT_LEVELS)
+def test_layout_division_matches_tuples(k):
+    rng = random.Random(100 + k)
+    for _ in range(40):
+        f = _draw(rng, k, rng.randint(0, 8)) + [rng.randrange(1, 1 << k, 2)]
+        g = _draw(rng, k, rng.randint(0, 16))
+        q, r = poly_divmod_unit_lead(Poly(g, k), Poly(f, k))
+        assert (q.coeffs, r.coeffs) == _ref_divmod(_norm(g, k), _norm(f, k), k)
+
+
+@pytest.mark.parametrize("k", LAYOUT_LEVELS)
+def test_layout_level_changes_match_tuples(k):
+    rng = random.Random(200 + k)
+    for k2 in LAYOUT_LEVELS:
+        a = _draw(rng, k, rng.randint(0, 10))
+        p = Poly(a, k)
+        lifted = p.at_level(k2)
+        assert lifted.k == k2 and lifted.coeffs == _norm(_norm(a, k), k2), (k, k2)
+        assert lifted == Poly(_norm(a, k), k2)
+
+
+@pytest.mark.parametrize("k", (1, 2, 12, 13, 28, 29, 64))
+def test_layout_worst_case_fields(k):
+    # every coefficient 2^k - 1: the largest sums a product, a fold or a
+    # long division can put in one field, at lengths on both sides of 256
+    top = (1 << k) - 1
+    for n in (1, 2, 255, 256, 257, 300):
+        p = Poly([top] * n, k)
+        ref = (top,) * n
+        for m in (1, n - 1, n, 300):
+            q = Poly([top] * m, k)
+            prod = p * q
+            assert prod.coeffs == _ref_mul(ref, (top,) * m, k), (n, m)
+            for alpha in (1, 2, 7, 97):  # folds of 3 to 600 wraps
+                assert prod.reduce_cyclic(alpha).coeffs == _ref_fold(prod.coeffs, alpha, k)
+        assert (p + p).coeffs == _norm([2 * top] * n, k)
+        assert (-p).coeffs == _norm([1] * n, k)
+        assert p.scale(top).coeffs == _norm([top * top] * n, k)
+    for df in (1, 254, 255, 256):
+        f, g = [top] * (df + 1), [top] * 300
+        q, r = poly_divmod_unit_lead(Poly(g, k), Poly(f, k))
+        assert (q.coeffs, r.coeffs) == _ref_divmod(g, f, k), df
+        assert q * Poly(f, k) + r == Poly(g, k)
+
+
+def test_layout_zero_at_the_top():
+    assert Poly([4, 4], 2) == Poly.zero(2) and Poly([4, 4], 2).degree() is None
+    assert Poly([1, 4], 2).coeffs == (1,) and Poly([1, 4], 2).degree() == 0
+    assert Poly([3, 1], 2).at_level(1) == Poly([1, 1], 1)
+    assert Poly([2, 2, 2], 2).at_level(1).is_zero()
+    assert (Poly([1, 1], 2) + Poly([3, 3], 2)).is_zero()
+    assert Poly([2, 2], 2).scale(2).is_zero()
+    assert (Poly([2, 0, 2], 2) * Poly([2, 2], 2)).is_zero()
+    assert Poly([1, 0, 0, 3], 2).reduce_cyclic(3).is_zero()  # 1 + 3x^3 folds to 4
+    assert Poly([5] * 9, 2).reduce_cyclic(3).coeffs == (3, 3, 3)
