@@ -77,13 +77,14 @@ def _expect(cond, path, msg):
 def _coeff_array(raw, path, level, ranged):
     _expect(isinstance(raw, list), path, "expected a coefficient array")
     mod = 1 << level
-    for pos, v in enumerate(raw):
-        if type(v) is not int:
-            raise SchemaError(f"{path}[{pos}]: coefficient must be an integer")
-        if ranged and not 0 <= v < mod:
-            raise SchemaError(
-                f"{path}[{pos}]: coefficient {v} out of range [0, {mod}) for level {level}")
-    return Poly(tuple(raw), level)
+    if set(map(type, raw)) - {int} or ranged and raw and not (min(raw) >= 0 and max(raw) < mod):
+        for pos, v in enumerate(raw):  # report the first offending position
+            if type(v) is not int:
+                raise SchemaError(f"{path}[{pos}]: coefficient must be an integer")
+            if ranged and not 0 <= v < mod:
+                raise SchemaError(
+                    f"{path}[{pos}]: coefficient {v} out of range [0, {mod}) for level {level}")
+    return Poly(raw, level)
 
 
 def _level(raw, path, level, ranged):
@@ -343,7 +344,7 @@ def build_parser():
 
     def command(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
+        p.set_defaults(command=name, handler=handler)
         p.add_argument("document", help="JSON code document")
         p.add_argument("--json", action="store_true",
                        help="emit the full run report as JSON")
@@ -371,14 +372,23 @@ def build_parser():
     p.add_argument("--distribution", action="store_true",
                    help="also print the weight distribution CSV")
     p = sub.add_parser("gray", help="Gray image of one residue")
+    p.set_defaults(command="gray")
     p.add_argument("--level", type=_positive_int, required=True)
     p.add_argument("--value", type=int, required=True)
     p.add_argument("--json", action="store_true")
+    parser.commands = sub.choices  # command name -> its parser, for main
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    # parse with argv[0]'s own parser; no command, or arguments it does not
+    # know, go through the whole parser, which prints usage and errors
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    args, extra = command.parse_known_args(argv[1:]) if command else (None, True)
+    if extra:
+        args = parser.parse_args(argv)
     try:
         report, lines, code = dispatch(args.command, args)
     except (SchemaError, BudgetExceeded, OSError, ValueError, ArithmeticError) as err:

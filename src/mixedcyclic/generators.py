@@ -118,7 +118,7 @@ class StructuredGenerators:
         return self._generators[i - 1]
 
     def generator_codeword(self, i):
-        return from_polys(self.generator_tuple(i))
+        return self.profile.packing.codeword(self._generator_words[i - 1])
 
     def generator_codewords(self):
         return [self.generator_codeword(i) for i in self.profile.levels()]
@@ -126,8 +126,7 @@ class StructuredGenerators:
     # built on first use, once per family: __init__ runs inside load_code_spec
     @functools.cached_property
     def _a_totals(self):
-        return tuple(sum((self.a(i, j).scale(1 << j) for j in range(i)), Poly.zero(i))
-                     for i in self.profile.levels())
+        return tuple(_layer_sum(layers, i) for i, layers in enumerate(self.a_layers, start=1))
 
     @functools.cached_property
     def _generators(self):
@@ -137,6 +136,10 @@ class StructuredGenerators:
             + [self.a_total(i).reduce_cyclic(prof.alpha(i))]
             + [Poly.zero(c) for c in range(i + 1, prof.n + 1)])) for i in prof.levels())
 
+    @functools.cached_property
+    def _generator_words(self):
+        return tuple(from_polys(u).w for u in self._generators)
+
     def unit_layers(self):
         """(i, j) of positive-degree layers that are units of Z/2^i[x].
 
@@ -145,14 +148,14 @@ class StructuredGenerators:
         degrees, so reports flag them.  Odd constants are units too, but
         their cofactors behave like ordinary exact divisions.
         """
-        out = []
-        for i in self.profile.levels():
-            for j in range(i):
-                p = self.a(i, j)
-                if (p.degree() > 0 and p.coeff(0) % 2 == 1
-                        and all(c % 2 == 0 for c in p.coeffs[1:])):
-                    out.append((i, j))
-        return out
+        return [(i, j) for i, layers in enumerate(self.a_layers, start=1)
+                for j, p in enumerate(layers) if p.is_unit() and p.degree() > 0]
+
+
+def _layer_sum(layers, i):
+    """a_i = sum_j 2^j a_{ij} mod 2^i, one shifted sum of the packed layers,
+    each read mod 2^(i-j) first: a field holds less than i * 2^i."""
+    return Poly.packed(sum(p.at_level(i - j).w << j for j, p in enumerate(layers)), i)
 
 
 def _derive_h(a: Poly, alpha: int):

@@ -9,87 +9,167 @@ quotients are not unique in general and any witness is acceptable.
 Degrees are formal: the leading coefficient may be a zero divisor
 (2x^2 + 3 over Z/4 has degree 2).  The zero polynomial has degree None,
 never -1, so callers must guard before doing arithmetic on degrees.
+
+A Poly is its level k and one int w: coefficient e fills field e of w,
+counted from the least significant bits (Kronecker substitution, Harvey,
+JSC 2009, on packed fields as in Howell), so trailing zeros are never
+stored.  The width rule: a field is 2k + 8 bits rounded up to a multiple
+of 32 (32 for every k <= 12, so a family's level changes are masks),
+which leaves S = width - 2k >= 8 spare bits.  Nothing carries across
+fields: a product of lengths L1 <= L2 puts less than L1 * (2^k - 1)^2 in
+a field, below 2^width while L1 <= 2^S (a longer factor is split into
+pieces of 2^S fields); a sum, a difference, a negation (2^k - c) and
+every added piece of the fold by x^alpha = 1 leave less than 2^(k+1),
+and one & mask reduces every field.  The masks of a level are built on
+its first use and grown with its longest polynomial.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 
 
 class ModulusMismatch(ValueError):
     """Operands live over different moduli 2^k."""
 
 
-def _strip(coeffs):
-    n = len(coeffs)
-    while n > 0 and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
+class _Layout:
+    """The fields of level k: their width, and masks of low (2^k - 1), ones
+    and top (2^k) per field over self.bits bits, which cover every Poly of
+    level k."""
+
+    def __init__(self, k):
+        if k < 1:
+            raise ValueError("modulus exponent k must be >= 1")
+        self.k, self.width, self.low, self.bits = k, -(-(2 * k + 8) // 32) * 32, (1 << k) - 1, 0
+        self.spare = self.width - 2 * k
+        self.typecode = next((c for c in "IQ" if array(c).itemsize * 8 == self.width), None)
+        self.fit(1)
+        _LAYOUTS[k] = self
+
+    def fit(self, bits):
+        """Grow the masks past bits > self.bits bits, at least doubling them."""
+        self.bits = max(-(-bits // self.width), 2 * self.bits // self.width, 8) * self.width
+        self.ones = ((1 << self.bits) - 1) // ((1 << self.width) - 1)
+        self.mask, self.top = self.ones * self.low, self.ones << self.k
+
+    def pack(self, coeffs):
+        """The fields of coeffs, each reduced by the caller's & mask."""
+        if self.typecode:
+            try:
+                return int.from_bytes(array(self.typecode, coeffs).tobytes(), "little")
+            except OverflowError:  # a negative or too wide coefficient
+                return self.pack([c & self.low for c in coeffs])
+        w = 0
+        for c in reversed(coeffs):
+            w = w << self.width | c & self.low
+        return w
+
+    def unpack(self, w):
+        size = -(-w.bit_length() // self.width) * self.width
+        if self.typecode:
+            return tuple(array(self.typecode, w.to_bytes(size // 8, "little")))
+        return tuple(w >> e & self.low for e in range(0, size, self.width))
+
+
+_LAYOUTS = {}
+
+
+def _layout(k):
+    return _LAYOUTS.get(k) or _Layout(k)
+
+
+def _poly(w, k):
+    """The Poly of level k over w, whose fields are reduced already."""
+    p = object.__new__(Poly)
+    p.w, p.k = w, k
+    return p
 
 
 class Poly:
-    """Polynomial over Z/2^k, ascending powers, no trailing zeros."""
+    """Polynomial over Z/2^k: its level k and its coefficients packed in w."""
 
-    __slots__ = ("coeffs", "k")
+    __slots__ = ("w", "k")
 
     def __init__(self, coeffs, k):
-        if k < 1:
-            raise ValueError("modulus exponent k must be >= 1")
-        self.coeffs, self.k = _strip([c & ((1 << k) - 1) for c in coeffs]), k
+        lay, coeffs = _layout(k), list(coeffs)
+        if len(coeffs) * lay.width > lay.bits:
+            lay.fit(len(coeffs) * lay.width)
+        self.w, self.k = lay.pack(coeffs) & lay.mask, k
+
+    @classmethod
+    def packed(cls, w, k):
+        """The Poly whose coefficient e is field e of w mod 2^k; w >= 0."""
+        lay = _layout(k)
+        if w.bit_length() > lay.bits:
+            lay.fit(w.bit_length())
+        return _poly(w & lay.mask, k)
 
     def __eq__(self, other):
-        return other.__class__ is Poly and self.coeffs == other.coeffs and self.k == other.k
+        return other.__class__ is Poly and self.w == other.w and self.k == other.k
 
     def __hash__(self):
-        return hash((self.coeffs, self.k))
+        return hash((self.w, self.k))
 
     def __repr__(self):
         return f"Poly({self.coeffs!r}, {self.k!r})"
 
+    @property
+    def coeffs(self):
+        """The coefficients, ascending powers, no trailing zeros."""
+        return _LAYOUTS[self.k].unpack(self.w)
+
     @classmethod
     def zero(cls, k):
-        return cls((), k)
+        return cls.packed(0, k)
 
     @classmethod
     def one(cls, k):
-        return cls((1,), k)
+        return cls.packed(1, k)
 
     @classmethod
     def x_to_alpha_minus_1(cls, alpha, k):
         """The polynomial x^alpha - 1, the modulus of the cyclic quotient."""
-        return cls((-1,) + (0,) * (alpha - 1) + (1,), k)
+        return cls.packed(1 << _layout(k).width * alpha | (1 << k) - 1, k)
 
     def degree(self):
         """Formal degree; None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return (self.w.bit_length() - 1) // _LAYOUTS[self.k].width if self.w else None
 
     def is_zero(self):
-        return not self.coeffs
-
-    def coeff(self, e):
-        return self.coeffs[e] if e < len(self.coeffs) else 0
+        return not self.w
 
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else 0
+        w, width = self.w, _LAYOUTS[self.k].width
+        return w >> (w.bit_length() - 1) // width * width if w else 0
 
     def has_unit_lead(self):
         """True when the leading coefficient is odd (a unit of Z/2^k)."""
-        return bool(self.coeffs) and self.coeffs[-1] % 2 == 1
+        return self.leading() & 1 == 1
+
+    def is_unit(self):
+        """True for a unit of Z/2^k[x]: an odd constant term, the other coefficients even."""
+        return self.w & _LAYOUTS[self.k].ones == 1
 
     def at_level(self, k):
         """Reinterpret the coefficients modulo 2^k (lift or reduce)."""
         if k == self.k:
             return self
-        return Poly(self.coeffs, k)
+        if _layout(k).width != _LAYOUTS[self.k].width:
+            return Poly(self.coeffs, k)
+        return Poly.packed(self.w, k)
 
     def reduce_cyclic(self, alpha):
         """Image in Z/2^k[x] / (x^alpha - 1): fold exponents mod alpha."""
-        if len(self.coeffs) <= alpha:
+        lay, w = _LAYOUTS[self.k], self.w
+        shift = lay.width * alpha
+        out, piece = 0, (1 << shift) - 1
+        if not w >> shift:
             return self
-        out = [0] * alpha
-        for e, c in enumerate(self.coeffs):
-            out[e % alpha] += c
-        return Poly(out, self.k)
+        while w:
+            out, w = (out + (w & piece)) & lay.mask, w >> shift
+        return _poly(out, self.k)
 
     def _check(self, other):
         if self.k != other.k:
@@ -97,31 +177,35 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(e) + other.coeff(e) for e in range(n)], self.k)
+        return _poly((self.w + other.w) & _LAYOUTS[self.k].mask, self.k)
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.k)
+        lay = _LAYOUTS[self.k]
+        return _poly((lay.top - self.w) & lay.mask, self.k)
 
     def __sub__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(e) - other.coeff(e) for e in range(n)], self.k)
+        lay = _LAYOUTS[self.k]
+        return _poly((self.w + lay.top - other.w) & lay.mask, self.k)
 
     def __mul__(self, other):
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.k)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out, self.k)
+        lay = _LAYOUTS[self.k]
+        a, b = (self.w, other.w) if self.w > other.w else (other.w, self.w)
+        if a.bit_length() + b.bit_length() > lay.bits:
+            lay.fit(a.bit_length() + b.bit_length())
+        span = lay.width << lay.spare  # 2^S fields, the longest exact factor
+        if b.bit_length() <= span:
+            return _poly(a * b & lay.mask, self.k)
+        out, shift, piece = 0, 0, (1 << span) - 1
+        while b:
+            out = (out + ((a * (b & piece) & lay.mask) << shift)) & lay.mask
+            b, shift = b >> span, shift + span
+        return _poly(out, self.k)
 
     def scale(self, c):
-        return Poly([c * a for a in self.coeffs], self.k)
+        lay = _LAYOUTS[self.k]
+        return _poly(self.w * (c & lay.low) & lay.mask, self.k)
 
     def __str__(self):
         if self.is_zero():
@@ -149,7 +233,10 @@ def poly_divmod_unit_lead(g: Poly, f: Poly) -> tuple[Poly, Poly]:
 
     Returns (q, r) with g = q*f + r and r = 0 or deg r < deg f.  The
     quotient and remainder are unique because a unit-leading polynomial
-    is not a zero divisor.
+    is not a zero divisor.  Each quotient coefficient t adds t * (2^k - f)
+    under the field it clears: a field takes at most deg f + 1 such adds,
+    each below 2^(2k), so the remainder is masked once at the end unless
+    deg f + 2 > 2^S.
     """
     if g.k != f.k:
         raise ModulusMismatch(f"k={g.k} vs k={f.k}")
@@ -157,20 +244,18 @@ def poly_divmod_unit_lead(g: Poly, f: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("division by the zero polynomial")
     if not f.has_unit_lead():
         raise ValueError("leading coefficient is not a unit; division undefined")
-    mod = 1 << f.k
-    inv_lead = pow(f.leading(), -1, mod)
-    df = f.degree()
-    rem = list(g.coeffs)
-    q = [0] * max(len(rem) - df, 0)
-    for e in range(len(rem) - 1, df - 1, -1):
-        c = rem[e] % mod
-        if c == 0:
-            continue
-        t = (c * inv_lead) % mod
-        q[e - df] = t
-        for j, fc in enumerate(f.coeffs):
-            rem[e - df + j] = (rem[e - df + j] - t * fc) % mod
-    return Poly(q, g.k), Poly(rem, g.k)
+    lay, df = _LAYOUTS[f.k], f.degree()
+    width, low, mask = lay.width, lay.low, lay.mask
+    inv_lead, neg = pow(f.leading(), -1, 1 << f.k), (lay.top - f.w) & mask
+    rem, q, each, top = g.w, 0, df + 2 > 1 << lay.spare, width * df
+    for shift in range(width * (g.degree() - df) if g.w else -1, -1, -width):
+        t = (rem >> shift + top & low) * inv_lead & low  # quotient field shift // width
+        if t:
+            q |= t << shift
+            rem += t * neg << shift
+            if each:
+                rem &= mask
+    return _poly(q, f.k), _poly(rem & mask, f.k)
 
 
 class LinearSystem:
@@ -337,9 +422,9 @@ def divides_witness(f: Poly, g: Poly, alpha: int | None = None):
     for i in range(ncols):
         for j, c in enumerate(f.coeffs):
             matrix[(i + j) % size][i] = c
+    rhs = g.coeffs
     sol = solve_linear_mod2k(
-        LinearSystem(tuple(map(tuple, matrix)), tuple(g.coeff(e) for e in range(size)), k)
-    )
+        LinearSystem(tuple(map(tuple, matrix)), rhs + (0,) * (size - len(rhs)), k))
     return Poly(sol, k) if sol is not None else None
 
 

@@ -401,10 +401,28 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     build_parser.cache_clear()
     assert main(["count", f"{DOCS}/toy_n2.json"]) == 0
+    assert progs.count("mixedcyclic") == 1  # the subcommand parsers are named "mixedcyclic <cmd>"
     built = len(progs)
     assert main(["count", f"{DOCS}/toy_n2.json"]) == 0
-    assert progs.count("mixedcyclic") == 1  # the subcommand parsers are named "mixedcyclic <cmd>"
-    assert len(progs) == built
+    assert progs[built:] == []  # no parser is built on the second call
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS + ("gray",))
+def test_main_parses_like_the_whole_parser(command, capsys):
+    # main parses with the command's own parser; help, usage and every error
+    # message must come out as the whole parser prints them
+    doc = f"{DOCS}/toy_n2.json"
+    cases = [[command, "--help"], [command], [command, "--threads", "0", doc],
+             [command, doc, "--threads", "0"], [command, doc, "--bogus"],
+             [command, doc, "extra"], [command, "--level", "2", "--value", "3", "--bogus"],
+             [], ["--help"], ["no-such-command", doc]]
+    for argv in cases:
+        results = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            results.append((exc.value.code, *capsys.readouterr()))
+        assert results[0] == results[1], argv
 
 
 @pytest.mark.parametrize("level", ["0", "-1"])
