@@ -77,13 +77,12 @@ def _expect(cond, path, msg):
 def _coeff_array(raw, path, level, ranged):
     _expect(isinstance(raw, list), path, "expected a coefficient array")
     mod = 1 << level
-    if set(map(type, raw)) - {int} or ranged and raw and not (min(raw) >= 0 and max(raw) < mod):
-        for pos, v in enumerate(raw):  # report the first offending position
-            if type(v) is not int:
-                raise SchemaError(f"{path}[{pos}]: coefficient must be an integer")
-            if ranged and not 0 <= v < mod:
-                raise SchemaError(
-                    f"{path}[{pos}]: coefficient {v} out of range [0, {mod}) for level {level}")
+    for pos, v in enumerate(raw):
+        if type(v) is not int:
+            raise SchemaError(f"{path}[{pos}]: coefficient must be an integer")
+        if ranged and not 0 <= v < mod:
+            raise SchemaError(
+                f"{path}[{pos}]: coefficient {v} out of range [0, {mod}) for level {level}")
     return Poly(raw, level)
 
 

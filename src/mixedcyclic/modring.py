@@ -164,9 +164,9 @@ class Poly:
         """Image in Z/2^k[x] / (x^alpha - 1): fold exponents mod alpha."""
         lay, w = _LAYOUTS[self.k], self.w
         shift = lay.width * alpha
-        out, piece = 0, (1 << shift) - 1
         if not w >> shift:
             return self
+        out, piece = 0, (1 << shift) - 1
         while w:
             out, w = (out + (w & piece)) & lay.mask, w >> shift
         return _poly(out, self.k)
@@ -208,18 +208,9 @@ class Poly:
         return _poly(self.w * (c & lay.low) & lay.mask, self.k)
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        terms = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if e == 0:
-                terms.append(str(c))
-            else:
-                xe = "x" if e == 1 else f"x^{e}"
-                terms.append(xe if c == 1 else f"{c}{xe}")
-        return " + ".join(terms)
+        return " + ".join(
+            str(c) if e == 0 else ("" if c == 1 else str(c)) + ("x" if e == 1 else f"x^{e}")
+            for e, c in enumerate(self.coeffs) if c) or "0"
 
 
 def poly_mul(p: Poly, q: Poly, alpha: int | None = None) -> Poly:
@@ -247,13 +238,13 @@ def poly_divmod_unit_lead(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     lay, df = _LAYOUTS[f.k], f.degree()
     width, low, mask = lay.width, lay.low, lay.mask
     inv_lead, neg = pow(f.leading(), -1, 1 << f.k), (lay.top - f.w) & mask
-    rem, q, each, top = g.w, 0, df + 2 > 1 << lay.spare, width * df
+    rem, q, top, every_step = g.w, 0, width * df, df + 2 > 1 << lay.spare
     for shift in range(width * (g.degree() - df) if g.w else -1, -1, -width):
         t = (rem >> shift + top & low) * inv_lead & low  # quotient field shift // width
         if t:
             q |= t << shift
             rem += t * neg << shift
-            if each:
+            if every_step:
                 rem &= mask
     return _poly(q, f.k), _poly(rem & mask, f.k)
 
