@@ -141,8 +141,7 @@ class Poly:
         return not self.w
 
     def leading(self):
-        w, width = self.w, _LAYOUTS[self.k].width
-        return w >> (w.bit_length() - 1) // width * width if w else 0
+        return self.w >> self.degree() * _LAYOUTS[self.k].width if self.w else 0
 
     def has_unit_lead(self):
         """True when the leading coefficient is odd (a unit of Z/2^k)."""
