@@ -27,7 +27,7 @@ its first use and grown with its longest polynomial.
 from __future__ import annotations
 
 import itertools
-from array import array
+import struct
 
 
 class ModulusMismatch(ValueError):
@@ -44,7 +44,7 @@ class _Layout:
             raise ValueError("modulus exponent k must be >= 1")
         self.k, self.width, self.low, self.bits = k, -(-(2 * k + 8) // 32) * 32, (1 << k) - 1, 0
         self.spare = self.width - 2 * k
-        self.typecode = next((c for c in "IQ" if array(c).itemsize * 8 == self.width), None)
+        self.typecode = {32: "I", 64: "Q"}.get(self.width)  # a field as one struct item
         self.fit(1)
         _LAYOUTS[k] = self
 
@@ -54,23 +54,13 @@ class _Layout:
         self.ones = ((1 << self.bits) - 1) // ((1 << self.width) - 1)
         self.mask, self.top = self.ones * self.low, self.ones << self.k
 
-    def pack(self, coeffs):
-        """The fields of coeffs, each reduced by the caller's & mask."""
-        if self.typecode:
-            try:
-                return int.from_bytes(array(self.typecode, coeffs).tobytes(), "little")
-            except OverflowError:  # a negative or too wide coefficient
-                return self.pack([c & self.low for c in coeffs])
-        w = 0
-        for c in reversed(coeffs):
-            w = w << self.width | c & self.low
-        return w
-
     def unpack(self, w):
-        size = -(-w.bit_length() // self.width) * self.width
+        """The coefficients held in w, field by field."""
+        fields = -(-w.bit_length() // self.width)
         if self.typecode:
-            return tuple(array(self.typecode, w.to_bytes(size // 8, "little")))
-        return tuple(w >> e & self.low for e in range(0, size, self.width))
+            raw = w.to_bytes(fields * self.width // 8, "little")
+            return struct.unpack(f"<{fields}{self.typecode}", raw)
+        return tuple(w >> e & self.low for e in range(0, fields * self.width, self.width))
 
 
 _LAYOUTS = {}
@@ -93,10 +83,14 @@ class Poly:
     __slots__ = ("w", "k")
 
     def __init__(self, coeffs, k):
-        lay, coeffs = _layout(k), list(coeffs)
-        if len(coeffs) * lay.width > lay.bits:
-            lay.fit(len(coeffs) * lay.width)
-        self.w, self.k = lay.pack(coeffs) & lay.mask, k
+        lay = _layout(k)
+        w, shift, width, low = 0, 0, lay.width, lay.low
+        for c in coeffs:
+            w |= (c & low) << shift
+            shift += width
+        if w.bit_length() > lay.bits:
+            lay.fit(w.bit_length())
+        self.w, self.k = w, k
 
     @classmethod
     def packed(cls, w, k):
