@@ -107,8 +107,6 @@ class Packing:
 
     def pack(self, flat):
         """The word whose fields hold flat; each entry must fit its field."""
-        if self.field_bytes == 1:
-            return int.from_bytes(bytes(flat), "big")
         return sum(c << e for c, e in zip(flat, self.shifts))
 
     def unpack(self, w):
@@ -249,11 +247,9 @@ def to_polys(v: Codeword) -> PolyTuple:
 def from_polys(u: PolyTuple) -> Codeword:
     """The x^j coefficient of component i becomes coordinate j of block i,
     packed as it is: PolyTuple holds each component reduced, of degree < alpha_i."""
-    packing, flat = u.profile.packing, []
-    for p, a in zip(u.polys, u.profile.alphas):
-        coeffs = p.coeffs
-        flat += coeffs
-        flat += [0] * (a - len(coeffs))
+    packing = u.profile.packing
+    flat = [c for p, a in zip(u.polys, u.profile.alphas)
+            for c in (p.coeffs + (0,) * a)[:a]]
     return packing.codeword(packing.pack(flat))
 
 

@@ -126,7 +126,8 @@ class StructuredGenerators:
     # built on first use, once per family: __init__ runs inside load_code_spec
     @functools.cached_property
     def _a_totals(self):
-        return tuple(_layer_sum(layers, i) for i, layers in enumerate(self.a_layers, start=1))
+        return tuple(sum((self.a(i, j).scale(1 << j) for j in range(i)), Poly.zero(i))
+                     for i in self.profile.levels())
 
     @functools.cached_property
     def _generators(self):
@@ -150,12 +151,6 @@ class StructuredGenerators:
         """
         return [(i, j) for i, layers in enumerate(self.a_layers, start=1)
                 for j, p in enumerate(layers) if p.is_unit() and p.degree() > 0]
-
-
-def _layer_sum(layers, i):
-    """a_i = sum_j 2^j a_{ij} mod 2^i, one shifted sum of the packed layers,
-    each read mod 2^(i-j) first: a field holds less than i * 2^i."""
-    return Poly.packed(sum(p.at_level(i - j).w << j for j, p in enumerate(layers)), i)
 
 
 def _derive_h(a: Poly, alpha: int):

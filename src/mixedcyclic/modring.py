@@ -54,13 +54,26 @@ class _Layout:
         self.ones = ((1 << self.bits) - 1) // ((1 << self.width) - 1)
         self.mask, self.top = self.ones * self.low, self.ones << self.k
 
+    def pack(self, coeffs):
+        """The int whose field e holds coeffs[e] mod 2^k: shifted in one by
+        one into a short int, joined as bytes for a long list (O(len))."""
+        if len(coeffs) > _WINDOW:
+            step = self.width // 8
+            return int.from_bytes(b"".join((c & self.low).to_bytes(step, "little")
+                                           for c in coeffs), "little")
+        w, shift, width, low = 0, 0, self.width, self.low
+        for c in coeffs:
+            w |= (c & low) << shift
+            shift += width
+        return w
+
     def unpack(self, w):
         """The coefficients held in w, field by field."""
-        fields = -(-w.bit_length() // self.width)
+        step = self.width // 8
+        raw = w.to_bytes(-(-w.bit_length() // self.width) * step, "little")
         if self.typecode:
-            raw = w.to_bytes(fields * self.width // 8, "little")
-            return struct.unpack(f"<{fields}{self.typecode}", raw)
-        return tuple(w >> e & self.low for e in range(0, fields * self.width, self.width))
+            return struct.unpack(f"<{len(raw) // step}{self.typecode}", raw)
+        return tuple(int.from_bytes(raw[p:p + step], "little") for p in range(0, len(raw), step))
 
 
 _LAYOUTS = {}
@@ -84,10 +97,7 @@ class Poly:
 
     def __init__(self, coeffs, k):
         lay = _layout(k)
-        w, shift, width, low = 0, 0, lay.width, lay.low
-        for c in coeffs:
-            w |= (c & low) << shift
-            shift += width
+        w = lay.pack(coeffs)
         if w.bit_length() > lay.bits:
             lay.fit(w.bit_length())
         self.w, self.k = w, k
@@ -154,15 +164,18 @@ class Poly:
         return Poly.packed(self.w, k)
 
     def reduce_cyclic(self, alpha):
-        """Image in Z/2^k[x] / (x^alpha - 1): fold exponents mod alpha."""
+        """Image in Z/2^k[x] / (x^alpha - 1): fold exponents mod alpha.
+
+        Each pass adds the top half of the pieces of alpha fields to the
+        bottom half, so the passes halve the length and cost O(len) in all."""
         lay, w = _LAYOUTS[self.k], self.w
-        shift = lay.width * alpha
-        if not w >> shift:
+        span = lay.width * alpha
+        if w.bit_length() <= span:
             return self
-        out, piece = 0, (1 << shift) - 1
-        while w:
-            out, w = (out + (w & piece)) & lay.mask, w >> shift
-        return _poly(out, self.k)
+        while w.bit_length() > span:
+            cut = span * (-(-w.bit_length() // span) // 2)
+            w = ((w & (1 << cut) - 1) + (w >> cut)) & lay.mask
+        return _poly(w, self.k)
 
     def _check(self, other):
         if self.k != other.k:
@@ -212,15 +225,18 @@ def poly_mul(p: Poly, q: Poly, alpha: int | None = None) -> Poly:
     return r.reduce_cyclic(alpha) if alpha is not None else r
 
 
+_WINDOW = 64  # quotient fields beyond which poly_divmod_unit_lead divides g in windows
+
+
 def poly_divmod_unit_lead(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     """Division algorithm for divisors with an odd leading coefficient.
 
     Returns (q, r) with g = q*f + r and r = 0 or deg r < deg f.  The
     quotient and remainder are unique because a unit-leading polynomial
-    is not a zero divisor.  Each quotient coefficient t adds t * (2^k - f)
-    under the field it clears: a field takes at most deg f + 1 such adds,
-    each below 2^(2k), so the remainder is masked once at the end unless
-    deg f + 2 > 2^S.
+    is not a zero divisor.  A quotient of up to _WINDOW fields is cleared
+    from g in place; a longer one a window at a time, from the top: the
+    remainder so far (below deg f) over the next _WINDOW fields of g, so
+    a long g costs O(len g * (deg f + _WINDOW)), not O(len(g)^2).
     """
     if g.k != f.k:
         raise ModulusMismatch(f"k={g.k} vs k={f.k}")
@@ -229,17 +245,38 @@ def poly_divmod_unit_lead(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     if not f.has_unit_lead():
         raise ValueError("leading coefficient is not a unit; division undefined")
     lay, df = _LAYOUTS[f.k], f.degree()
-    width, low, mask = lay.width, lay.low, lay.mask
-    inv_lead, neg = pow(f.leading(), -1, 1 << f.k), (lay.top - f.w) & mask
-    rem, q, top, every_step = g.w, 0, width * df, df + 2 > 1 << lay.spare
-    for shift in range(width * (g.degree() - df) if g.w else -1, -1, -width):
-        t = (rem >> shift + top & low) * inv_lead & low  # quotient field shift // width
+    inv_lead, neg = pow(f.leading(), -1, 1 << f.k), (lay.top - f.w) & lay.mask
+    size = lay.width * max(g.degree() - df + 1, 0) if g.w else 0  # bits of the quotient
+    step = lay.width * _WINDOW
+    if size <= step:
+        q, rem = _clear(g.w, size, lay, df, inv_lead, neg)
+        return _poly(q, f.k), _poly(rem, f.k)
+    raw, rem, q = g.w.to_bytes(-(-g.w.bit_length() // 8), "little"), g.w >> size, []
+    for end in range(size, 0, -step):
+        lo = max(end - step, 0)
+        part, rem = _clear(rem << end - lo | int.from_bytes(raw[lo // 8:end // 8], "little"),
+                           end - lo, lay, df, inv_lead, neg)
+        q.append(part.to_bytes((end - lo) // 8, "big"))
+    return _poly(int.from_bytes(b"".join(q), "big"), f.k), _poly(rem, f.k)
+
+
+def _clear(w, bits, lay, df, inv_lead, neg):
+    """Divide w by f: clear the bits // width fields of w from field df up,
+    top first, and return the quotient and the masked remainder (neg is
+    2^k - f, inv_lead the inverse of f's lead).  Each quotient coefficient
+    t adds t * (2^k - f) under the field it clears: a field takes at most
+    deg f + 1 such adds, each below 2^(2k), so w is masked once at the end
+    unless deg f + 2 > 2^S."""
+    width, low, mask, q = lay.width, lay.low, lay.mask, 0
+    top, every_step = width * df, df + 2 > 1 << lay.spare
+    for shift in range(bits - width, -1, -width):
+        t = (w >> shift + top & low) * inv_lead & low  # quotient field shift // width
         if t:
             q |= t << shift
-            rem += t * neg << shift
+            w += t * neg << shift
             if every_step:
-                rem &= mask
-    return _poly(q, f.k), _poly(rem & mask, f.k)
+                w &= mask
+    return q, w & mask
 
 
 class LinearSystem:

@@ -239,29 +239,27 @@ def test_failed_chain_is_a_gap_in_the_same_pass():
 
 
 def test_each_level_is_built_once_per_family(example855, monkeypatch):
-    # _layer_sum builds a_i, once per level: validation, the spanning set and
-    # its echelon basis all ask for a_i or generator i, and each a_i is still
-    # built once; an equal family builds its own
-    from mixedcyclic import generators
+    # a_total is the only caller of Poly.scale, once per layer a_{ij}: validation,
+    # the spanning set and its echelon basis all ask for a_i or generator i, and
+    # each a_i is still built once; an equal family builds its own
     from mixedcyclic.generators import StructuredGenerators
     from mixedcyclic.spanning import build_spanning_set
 
-    real = generators._layer_sum
-    built = []
-    monkeypatch.setattr(generators, "_layer_sum",
-                        lambda layers, i: built.append(i) or real(layers, i))
+    real = Poly.scale
+    scaled = []
+    monkeypatch.setattr(Poly, "scale", lambda p, c: scaled.append((p.k, c)) or real(p, c))
     g = example855
     report = validate_generators(g)
     s = build_spanning_set(g, report.require_cofactors())
     assert s.echelon
     assert g.generator_codewords() == [g.generator_codeword(i) for i in (1, 2, 3)]
-    layers = [1, 2, 3]
-    assert sorted(built) == layers
+    layers = sorted((i, 1 << j) for i in (1, 2, 3) for j in range(i))
+    assert sorted(scaled) == layers
     assert g.generator_tuple(3) is g.generator_tuple(3)
     assert g.generator_codewords() is not g.generator_codewords()  # a fresh list each call
     twin = StructuredGenerators(g.profile, g.a_layers, g.l_mix)
     assert twin.a_total(3) == g.a_total(3)
-    assert sorted(built) == sorted(layers * 2)
+    assert sorted(scaled) == sorted(layers * 2)
 
 
 @pytest.mark.parametrize("doc, line", [
@@ -278,3 +276,40 @@ def test_missing_witness_is_an_unavailable_entry(doc, line):
     assert line in lines
     assert lines[-1] == "overall: FAIL"
     assert report.cofactors is None
+
+
+def _ref_fold(coeffs, alpha, k):
+    out = [0] * alpha
+    for e, c in enumerate(coeffs):
+        out[e % alpha] = (out[e % alpha] + c) % (1 << k)
+    return out
+
+
+@pytest.mark.parametrize("n", [13, 14, 29, 30])
+def test_a_total_and_generators_across_field_widths(n):
+    # levels 1-12, 13-28 and 29+ pack their coefficients in fields of
+    # different widths; a_i and generator i must still match plain tuples
+    import random
+
+    rng = random.Random(n)
+    alpha = 3
+    a_lists = [[[rng.randrange(1 << i) for _ in range(rng.randint(0, alpha))] + [1]
+                for _ in range(i)] for i in range(1, n + 1)]
+    a_lists[12] = [[1], [0, 1]] + [[0, 0, 0, 1]] * 11  # a_13 = 1 + 2x + (2^13 - 4)x^3
+    l_lists = [[[rng.randrange(1 << i) for _ in range(rng.randint(0, alpha))]
+                for _ in range(i - 1)] for i in range(2, n + 1)]
+    g = make_generators([alpha] * n, a_lists, l_lists, allow_nonstandard=True)
+    for i in range(1, n + 1):
+        total = [0] * (alpha + 2)
+        for j, layer in enumerate(a_lists[i - 1]):
+            for e, c in enumerate(layer):
+                total[e] = (total[e] + (c << j)) % (1 << i)
+        while total and total[-1] == 0:
+            total.pop()
+        assert g.a_total(i).coeffs == tuple(total), i
+        flat = []
+        for c in range(1, n + 1):
+            coeffs = l_lists[i - 2][c - 1] if c < i else total if c == i else []
+            flat += _ref_fold(coeffs, alpha, c)
+        assert list(g.generator_codeword(i).flat()) == flat, i
+    assert g.a_total(13) == Poly([1, 2, 0, -4], 13)

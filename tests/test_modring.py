@@ -465,3 +465,33 @@ def test_layout_zero_at_the_top():
     assert (Poly([2, 0, 2], 2) * Poly([2, 2], 2)).is_zero()
     assert Poly([1, 0, 0, 3], 2).reduce_cyclic(3).is_zero()  # 1 + 3x^3 folds to 4
     assert Poly([5] * 9, 2).reduce_cyclic(3).coeffs == (3, 3, 3)
+
+
+@pytest.mark.parametrize("k", (1, 3, 12, 13, 29))
+def test_layout_division_across_windows(k):
+    # a long division clears g in windows of 64 fields: quotients of 63 to
+    # 200 fields end, start and straddle windows
+    rng = random.Random(300 + k)
+    for dq in (62, 63, 64, 65, 127, 128, 200):
+        for df in (0, 1, 5, 70):
+            f = _draw(rng, k, df) + [rng.randrange(1, 1 << k, 2)]
+            g = _draw(rng, k, dq + df) + [rng.randrange(1 << k)]
+            q, r = poly_divmod_unit_lead(Poly(g, k), Poly(f, k))
+            assert (q.coeffs, r.coeffs) == _ref_divmod(_norm(g, k), _norm(f, k), k), (dq, df)
+
+
+@pytest.mark.parametrize("k", (3, 40))
+def test_layout_long_polynomials_stay_linear(k):
+    # alpha is unbounded in a document: packing, unpacking, the fold and
+    # the division of x^alpha - 1 by a short f cost O(alpha), not O(alpha^2)
+    import time
+
+    alpha, top = 10 ** 5 + 1, (1 << k) - 1
+    start = time.perf_counter()
+    p = Poly([top] * alpha, k)
+    assert p.coeffs == (top,) * alpha
+    assert p.reduce_cyclic(1).coeffs == _norm([alpha * top], k)
+    g, f = Poly.x_to_alpha_minus_1(alpha, k), Poly([1, 1], k)
+    q, r = poly_divmod_unit_lead(g, f)
+    assert q * f + r == g and r == Poly([-2], k)  # x = -1 leaves -1 - 1
+    assert time.perf_counter() - start < 5
