@@ -21,7 +21,10 @@ a field, below 2^width while L1 <= 2^S (a longer factor is split into
 pieces of 2^S fields); a sum, a difference, a negation (2^k - c) and
 every added piece of the fold by x^alpha = 1 leave less than 2^(k+1),
 and one & mask reduces every field.  The masks of a level are built on
-its first use and grown with its longest polynomial.
+its first use and grown with its longest polynomial.  A long polynomial
+costs time linear in its length outside the product: a list of more than
+_WINDOW coefficients packs through bytes, each fold pass halves the
+length, and a long quotient is cleared _WINDOW fields at a time.
 """
 
 from __future__ import annotations
