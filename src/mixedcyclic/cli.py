@@ -183,7 +183,7 @@ def _cmd_cofactors(gens, report, args):
 
 def _cmd_span(gens, report, args):
     s = build_spanning_set(gens, report.require_cofactors())
-    rows = [(label, row.to_text()) for label, row in s.rows]
+    rows = list(zip(s.labels(), matrix_to_csv(s).splitlines()))
     lines = [f"rows={len(rows)}"]
     lines.extend(f"{i},{j},{k}: {text}" for (i, j, k), text in rows)
     payload = {
@@ -225,7 +225,7 @@ def _cmd_enum(gens, report, args):
     s, t, parts = _scan_code(gens, report, args, list)
     words = [w for part in parts for w in part]
     distinct = len(set(words))
-    lines = list(map(gens.profile.packing.text, words))
+    lines = gens.profile.packing.render(words).splitlines()
     warnings = list(s.warnings)
     if distinct != 1 << t:
         warnings.append({
@@ -260,7 +260,7 @@ def _cmd_mindist(gens, report, args):
 
 def _cmd_dual(gens, report, args):
     res = dual_code(gens.generator_codewords(), gens.profile, budget=args.budget_space)
-    words = [w.to_text() for w in res.dual_codewords]
+    words = gens.profile.packing.render([v.w for v in res.dual_codewords]).splitlines()
     lines = [f"dual_count={res.dual_count}",
              f"cyclic={'true' if res.cyclic_flag else 'false'}", *words]
     payload = {"dual_count": res.dual_count, "cyclic": res.cyclic_flag, "dual": words}

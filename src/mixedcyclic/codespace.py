@@ -8,6 +8,9 @@ through Z2^n last, and the canonical text form writes blocks separated by
 <-> coefficient bijection the simultaneous right rotation of all blocks is
 exactly multiplication by x, which is what makes shift-closed subgroups
 into polynomial modules.
+
+Packing.text writes one packed word's text; Packing.render writes a list
+of them, one a line, in a few byte-table translations, not one format a word.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from itertools import repeat
 
 from .modring import Poly
 
@@ -118,6 +122,18 @@ class Packing:
     def text(self, w):
         return self.template % tuple(self.unpack(w))  # Codeword.to_text
 
+    def render(self, words):
+        """The texts of the packed words, one a line: "\n".join(map(self.text, words)).
+        With one-byte fields (n <= 7) each field byte becomes four: its three
+        digits (a leading zero as byte 0, deleted at the end) and its separator."""
+        if self.field_bytes > 1:
+            return "\n".join(map(self.text, words))
+        raw = b"".join(map(int.to_bytes, words, repeat(self.nbytes), repeat("big")))
+        out = bytearray(4 * len(raw))
+        out[0::4], out[1::4], out[2::4] = (raw.translate(t) for t in _digit_tables())
+        out[3::4] = (self.template.replace("%d", "") + "\n").encode() * len(words)
+        return out.translate(None, b"\0")[:-1].decode()
+
     def codeword(self, w):
         """w as a Codeword, wrapped as it is: w must be reduced (w & mask == w)."""
         v = Codeword.__new__(Codeword)
@@ -139,6 +155,14 @@ class Packing:
     def unembed(self, row):
         """Inverse of embed, for a row in its image with entries reduced mod 2^n."""
         return self.pack([a >> e for a, e in zip(row, self.scales)])
+
+
+@functools.cache
+def _digit_tables():
+    """Byte -> its hundreds, tens and ones digit, as three translate tables;
+    the leading zeros of a value map to byte 0."""
+    cells = [b"%3d" % v for v in range(256)]
+    return [bytes(c[j] for c in cells).replace(b" ", b"\0") for j in range(3)]
 
 
 class Codeword:
@@ -290,11 +314,13 @@ def partition_range(total, workers):
     """Split range(total) into contiguous (start, stop) chunks, in order.
 
     One chunk per worker, with the worker count clamped to
-    1..min(total, os.cpu_count()).  A scan that maps each chunk and
-    concatenates the parts in chunk order reproduces the sequential
-    scan, whatever the worker count.
+    1..min(total, os.cpu_count()); the OS is asked only for workers > 1.
+    A scan that maps each chunk and concatenates the parts in chunk order
+    reproduces the sequential scan, whatever the worker count.
     """
-    workers = max(1, min(workers, total, os.cpu_count() or 1))
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
+    workers = max(1, min(workers, total))
     step = max(1, -(-total // workers))
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 

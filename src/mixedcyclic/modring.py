@@ -21,10 +21,12 @@ a field, below 2^width while L1 <= 2^S (a longer factor is split into
 pieces of 2^S fields); a sum, a difference, a negation (2^k - c) and
 every added piece of the fold by x^alpha = 1 leave less than 2^(k+1),
 and one & mask reduces every field.  The masks of a level are built on
-its first use and grown with its longest polynomial.  A long polynomial
-costs time linear in its length outside the product: a list of more than
-_WINDOW coefficients packs through bytes, each fold pass halves the
-length, and a long quotient is cleared _WINDOW fields at a time.
+its first use and grown with its longest polynomial; a short operand
+never pays for them (an & costs the shorter side, _Layout.neg its own
+fields).  A long polynomial costs time linear in its length outside the
+product: a list of more than _WINDOW coefficients packs through bytes,
+each fold pass halves the length, and a long quotient is cleared
+_WINDOW fields at a time.
 """
 
 from __future__ import annotations
@@ -56,6 +58,12 @@ class _Layout:
         self.bits = max(-(-bits // self.width), 2 * self.bits // self.width, 8) * self.width
         self.ones = ((1 << self.bits) - 1) // ((1 << self.width) - 1)
         self.mask, self.top = self.ones * self.low, self.ones << self.k
+
+    def neg(self, w):
+        """-w field by field: 2^k - c under the fields of w alone, so it costs
+        O(len w) however far the masks grew."""
+        top = self.top >> self.bits - -(-w.bit_length() // self.width) * self.width
+        return (top - w) & self.mask
 
     def pack(self, coeffs):
         """The int whose field e holds coeffs[e] mod 2^k: shifted in one by
@@ -189,13 +197,12 @@ class Poly:
         return _poly((self.w + other.w) & _LAYOUTS[self.k].mask, self.k)
 
     def __neg__(self):
-        lay = _LAYOUTS[self.k]
-        return _poly((lay.top - self.w) & lay.mask, self.k)
+        return _poly(_LAYOUTS[self.k].neg(self.w), self.k)
 
     def __sub__(self, other):
         self._check(other)
         lay = _LAYOUTS[self.k]
-        return _poly((self.w + lay.top - other.w) & lay.mask, self.k)
+        return _poly((self.w + lay.neg(other.w)) & lay.mask, self.k)
 
     def __mul__(self, other):
         self._check(other)
@@ -248,7 +255,7 @@ def poly_divmod_unit_lead(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     if not f.has_unit_lead():
         raise ValueError("leading coefficient is not a unit; division undefined")
     lay, df = _LAYOUTS[f.k], f.degree()
-    inv_lead, neg = pow(f.leading(), -1, 1 << f.k), (lay.top - f.w) & lay.mask
+    inv_lead, neg = pow(f.leading(), -1, 1 << f.k), lay.neg(f.w)
     size = lay.width * max(g.degree() - df + 1, 0) if g.w else 0  # bits of the quotient
     step = lay.width * _WINDOW
     if size <= step:

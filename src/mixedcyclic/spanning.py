@@ -235,7 +235,7 @@ def generator_matrix(s: SpanningSet):
 
 
 def matrix_to_csv(s: SpanningSet) -> str:
-    return "\n".join(row.to_text() for _, row in s.rows)
+    return s.profile.packing.render([row.w for _, row in s.rows])
 
 
 def matrix_to_json_payload(s: SpanningSet):

@@ -15,9 +15,11 @@ import pytest
 
 from mixedcyclic.cli import SchemaError, build_parser, dispatch, load_code_spec, main
 from mixedcyclic.closure import module_closure
+from mixedcyclic.duality import dual_code
 from mixedcyclic.generators import validate_generators
 from mixedcyclic.metrics import weight_distribution
 from mixedcyclic.modring import Poly
+from mixedcyclic.spanning import build_spanning_set, iter_packed_range
 
 DOCS = "demos/codes"
 
@@ -530,3 +532,26 @@ def test_midsize_walk_and_distribution_agree_with_the_closure(capsys):
     dist = weight_distribution(map(gens.profile.packing.codeword, closure.words))
     rows = MIDSIZE_DISTRIBUTION.splitlines()[2:]
     assert dist == Counter({int(wt): int(count) for wt, count in (r.split(",") for r in rows)})
+
+
+def test_bulk_rendering_matches_per_word_text_at_n7(capsys):
+    # the golden file stops at n = 3; here fields reach 120, so every output
+    # below mixes one-, two- and three-digit values
+    doc = "tests/data/tower_n7.json"
+    with open(doc) as fh:
+        gens = load_code_spec(fh.read())
+    s = build_spanning_set(gens, validate_generators(gens).require_cofactors())
+    codeword = gens.profile.packing.codeword
+    expected = {
+        "enum": [codeword(w).to_text() for w in iter_packed_range(s, 0, 1 << 15)],
+        "dual": [v.to_text() for v in dual_code(gens.generator_codewords(), gens.profile)
+                 .dual_codewords],
+        "span": [f"{i},{j},{k}: {row.to_text()}" for (i, j, k), row in s.rows],
+        "matrix": [row.to_text() for _, row in s.rows],
+    }
+    for command, texts in expected.items():
+        out = _stdout(capsys, command, doc)
+        assert re.search(r"\b\d\d\b", out) and re.search(r"\b\d\d\d\b", out), command
+        lines = out.splitlines()
+        body = {"enum": lines[:-1], "dual": lines[2:], "span": lines[1:], "matrix": lines}
+        assert body[command] == texts, command

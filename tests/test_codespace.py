@@ -221,6 +221,22 @@ def test_partition_range_clamps_workers_to_cpu_count(monkeypatch):
     assert partition_range(1 << 16, 8) == [(0, 1 << 16)]
 
 
+def test_partition_range_asks_the_cpu_count_only_for_more_than_one_worker(monkeypatch):
+    def refuse():
+        raise AssertionError("os.cpu_count() called for one worker")
+
+    monkeypatch.setattr(os, "cpu_count", refuse)
+    assert [partition_range(total, 1) for total in (0, 1, 5)] == [[], [(0, 1)], [(0, 5)]]
+    # the chunks stay those of clamping to min(workers, total, cpu_count) in one step
+    for cpus in (None, 1, 2, 3, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for total in range(20):
+            for workers in range(1, 12):
+                step = max(1, -(-total // max(1, min(workers, total, cpus or 1))))
+                expected = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+                assert partition_range(total, workers) == expected, (cpus, total, workers)
+
+
 def test_packing_embed_scales_block_i_by_2_to_the_n_minus_i():
     # the rows of the kernel families (one byte a field, two for the n = 8 family)
     # and random words of a random n = 16 profile (three bytes a field)

@@ -75,6 +75,24 @@ def test_equality_and_hash_ignore_the_nonstandard_tag(case):
     assert (u + v).components == _combine(int.__add__, _reduce(x), _reduce(x))
 
 
+@st.composite
+def packed_words(draw):
+    """A profile with n from 1 to 8 and up to eight packed words over it, maybe
+    none: at n = 7 a field reaches 127, and n = 8 takes two-byte fields."""
+    n = draw(st.integers(1, 8), label="n")
+    alphas = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), label="alphas")
+    packing = AlphabetProfile(alphas, allow_nonstandard=True).packing
+    word = st.tuples(*(st.integers(0, (1 << i) - 1) for i in packing.levels))
+    return packing, [packing.pack(f) for f in draw(st.lists(word, max_size=8), label="words")]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(packed_words())
+def test_render_joins_the_text_of_each_word(case):
+    packing, words = case
+    assert packing.render(words) == "\n".join(map(packing.text, words))
+
+
 def test_importing_the_package_leaves_out_dataclasses_and_inspect():
     # concurrent.futures stays imported on purpose: cli and duality bind
     # ThreadPoolExecutor, and bench/tracer.py patches those bindings

@@ -495,3 +495,34 @@ def test_layout_long_polynomials_stay_linear(k):
     q, r = poly_divmod_unit_lead(g, f)
     assert q * f + r == g and r == Poly([-2], k)  # x = -1 leaves -1 - 1
     assert time.perf_counter() - start < 5
+
+
+def test_layout_short_operations_ignore_a_grown_mask():
+    # a level's masks grow with its longest polynomial, and a short
+    # difference, negation or division must still cost its own length;
+    # k = 21 is a level no other test grows, so the first timing is short
+    import timeit
+
+    k, rng = 21, random.Random(21)
+    a, b = _draw(rng, k, 3), _draw(rng, k, 2)
+    f, g = [1, 1], [-1] + [0] * 30 + [1]  # x^31 - 1 over 1 + x
+
+    def ops():
+        n = max(len(a), len(b))
+        pad = lambda cs: list(cs) + [0] * (n - len(cs))
+        assert (Poly(a, k) - Poly(b, k)).coeffs == _norm([x - y for x, y in zip(pad(a), pad(b))], k)
+        assert (-Poly(a, k)).coeffs == _norm([-x for x in a], k)
+        q, r = poly_divmod_unit_lead(Poly(g, k), Poly(f, k))
+        assert (q.coeffs, r.coeffs) == _ref_divmod(_norm(g, k), _norm(f, k), k)
+
+    def short_ops():
+        p, q, gp, fp = Poly(a, k), Poly(b, k), Poly(g, k), Poly(f, k)
+        return min(timeit.repeat(lambda: (p - q, -p, poly_divmod_unit_lead(gp, fp)),
+                                 number=50, repeat=5))
+
+    ops()
+    before = short_ops()
+    Poly([1] * 10 ** 5, k)
+    ops()
+    # over the grown mask these ran about 80 times slower; 5 leaves room for noise
+    assert short_ops() < 5 * before
