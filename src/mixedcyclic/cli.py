@@ -32,7 +32,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .closure import module_closure
 from .codespace import AlphabetProfile, BudgetExceeded, partition_range
-from .duality import dual_code
 from .generators import StructuredGenerators, validate_generators
 from .metrics import gray_map, merge_distributions, packed_weigher
 from .modring import Poly
@@ -225,7 +224,7 @@ def _cmd_enum(gens, report, args):
     s, t, parts = _scan_code(gens, report, args, list)
     words = [w for part in parts for w in part]
     distinct = len(set(words))
-    lines = gens.profile.packing.render(words).splitlines()
+    lines = [gens.profile.packing.render(words)]
     warnings = list(s.warnings)
     if distinct != 1 << t:
         warnings.append({
@@ -237,9 +236,12 @@ def _cmd_enum(gens, report, args):
 
 
 def _cmd_count(gens, report, args):
-    c = report.require_cofactors()
-    t = codeword_count_exponent(c)
-    return {"exponent": t, "count": 1 << t}, [f"t={t}, |C|={1 << t}"], c.warnings
+    c = report.require_cofactors()  # t is exact (C's Howell form); the formula t goes beside it
+    t, formula = gens.code.exponent, codeword_count_exponent(c)
+    mismatch = [] if t == formula else [{"code": "count_formula_mismatch",
+                                         "detail": f"exact t={t} != formula t={formula}"}]
+    return ({"exponent": t, "count": 1 << t, "formula_exponent": formula},
+            [f"t={t}, |C|={1 << t}"], [*c.warnings, *mismatch])
 
 
 def _cmd_mindist(gens, report, args):
@@ -259,11 +261,10 @@ def _cmd_mindist(gens, report, args):
 
 
 def _cmd_dual(gens, report, args):
-    res = dual_code(gens.generator_codewords(), gens.profile, budget=args.budget_space)
-    words = gens.profile.packing.render([v.w for v in res.dual_codewords]).splitlines()
-    lines = [f"dual_count={res.dual_count}",
-             f"cyclic={'true' if res.cyclic_flag else 'false'}", *words]
-    payload = {"dual_count": res.dual_count, "cyclic": res.cyclic_flag, "dual": words}
+    words, cyclic = gens.code.dual(args.budget_space)
+    words = gens.profile.packing.render(words).splitlines()
+    lines = [f"dual_count={len(words)}", f"cyclic={'true' if cyclic else 'false'}", *words]
+    payload = {"dual_count": len(words), "cyclic": cyclic, "dual": words}
     return payload, lines, []
 
 

@@ -81,8 +81,8 @@ class AlphabetProfile:
 
     @functools.cached_property
     def packing(self):
-        """The packed-int layout of words over this profile, built once."""
-        return Packing(self)
+        """The packed-int layout of words over this profile, one per alphas (_packing)."""
+        return _packing(self)
 
 
 class Packing:
@@ -155,6 +155,9 @@ class Packing:
     def unembed(self, row):
         """Inverse of embed, for a row in its image with entries reduced mod 2^n."""
         return self.pack([a >> e for a, e in zip(row, self.scales)])
+
+
+_packing = functools.cache(Packing)  # profiles hash by alphas: equal ones share the tables
 
 
 @functools.cache

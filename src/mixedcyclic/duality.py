@@ -4,10 +4,10 @@ The pairing weights block i by 2^(n-i) so that every block contributes
 mod 2^n:  u.v = sum_i 2^(n-i) <u_i, v_i> mod 2^n.  Scaling block i by
 2^(n-i) (Packing.embed, the one home of the embedding) maps C into
 (Z/2^n)^N, where the pairing is the plain dot product, so the dual is
-solved, not searched: dual_code takes the kernel mod 2^n of the code's
-echelon basis (a Howell form of [A^T | I]), reduces it mod 2^i in block i
-and embeds it again on packed words, lists the span of that basis by
-spanning.walk, and wraps each dual word as a Codeword.
+solved, not searched: spanning.Code.dual takes the kernel mod 2^n of C's
+Howell form (a Howell form of [A^T | I]), reduces it mod 2^i in block i
+and embeds it again on packed words, and lists the span of that basis by
+spanning.walk as packed words.  dual_code is its Codeword edge.
 brute_force_dual is the cross-check: it scans the whole ambient module
 at desk scale and tests each vector against a spanning family (each
 generator with all of its shifts), which suffices because the pairing
@@ -27,8 +27,7 @@ from .codespace import (
     iter_space_range,
     partition_range,
 )
-from .modring import echelon_mod2k, transpose_echelon
-from .spanning import code_echelon, walk
+from .spanning import Code
 
 
 def inner_product(u: Codeword, v: Codeword):
@@ -108,21 +107,5 @@ def dual_code(generators, profile, budget=1 << 20):
     Raises BudgetExceeded when the dual has more than budget words;
     otherwise lists each word once, in canonical lexicographic order.
     """
-    n, size, packing = profile.n, sum(profile.alphas), profile.packing
-    code = code_echelon(generators, profile)
-    m = len(code)
-    # the kernel of A mod 2^n, read mod 2^i in block i and embedded again, spans the embedded dual
-    kernel = [packing.embed(packing.pack(row[m:]) & packing.mask)
-              for col, _, row in transpose_echelon([row for _, _, row in code], size, n) if col >= m]
-    basis = echelon_mod2k(kernel, n)
-    exponent = sum(n - v for _, v, _ in basis)
-    assert exponent + sum(n - v for _, v, _ in code) == profile.space_size_exponent(), \
-        "|C| * |C-perp| != |ambient|"
-    if 1 << exponent > budget:
-        raise BudgetExceeded(f"dual has 2^{exponent} words, budget {budget}")
-    rows = [packing.unembed(row) for _, _, row in basis]
-    # the shift is additive: C-perp is shift-closed iff every shifted basis row is in it
-    cyclic = all(basis.reduce(basis.pack(packing.embed(packing.shift(w)))) is not None for w in rows)
-    # multipliers c < 2^(n - v): every word once
-    words = walk(packing, rows, [1 << (n - v) for _, v, _ in basis], 0, 1 << exponent)
-    return DualResult(tuple(map(packing.codeword, sorted(words))), cyclic)  # int order is flat() order
+    words, cyclic = Code([v.w for v in generators], profile).dual(budget)
+    return DualResult(tuple(map(profile.packing.codeword, words)), cyclic)

@@ -141,6 +141,11 @@ class StructuredGenerators:
     def _generator_words(self):
         return tuple(from_polys(u).w for u in self._generators)
 
+    @functools.cached_property
+    def code(self):  # the cyclic code the generators span, as spanning.Code
+        from .spanning import Code  # spanning imports this module
+        return Code(self._generator_words, self.profile)
+
     def unit_layers(self):
         """(i, j) of positive-degree layers that are units of Z/2^i[x].
 

@@ -24,19 +24,19 @@ too.  Codewords are built only at the API edge.
 
 Membership is exact: these rows can miss part of C (unit layers, even
 leads), so it reduces the packed, embedded word against the Howell form of
-C that code_echelon builds from the generators (no cofactors), one shift at
-a time until a shift adds nothing; the dual in duality starts from it too.
+C that Code builds from the generators (no cofactors), one shift at a time
+until a shift adds nothing.  The family keeps one Code (StructuredGenerators
+.code); count reads its exponent, and Code.dual lists C-perp from it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
 from .codespace import BudgetExceeded, Codeword, ProfileMismatch, from_polys, scalar_action
 from .generators import Cofactors, StructuredGenerators
-from .modring import Howell
+from .modring import Howell, echelon_mod2k, transpose_echelon
 
 _TABLE_LIMIT = 1 << 12  # positions in one chunk table of walk
 
@@ -49,11 +49,6 @@ class SpanningSet:
         self.rows = rows  # of (label, Codeword)
         self.counts = counts  # (i, j) -> row count
         self.radices = radices  # per row: its coefficient modulus 2^i or 2^(i-j)
-
-    @functools.cached_property
-    def echelon(self):
-        """Howell form of C (code_echelon), built once per spanning set."""
-        return code_echelon(self.family.generator_codewords(), self.profile)
 
     def row_codewords(self):
         return [r for _, r in self.rows]
@@ -188,44 +183,70 @@ def distinct_codewords(s: SpanningSet, budget=1 << 16):
     return seen, total
 
 
-def code_echelon(words, profile):
-    """Howell form over Z/2^n of the code the words generate, in Packing.embed form.
+class Code:
+    """The cyclic code packed words generate: basis, its Howell form over Z/2^n in
+    Packing.embed form, and |C| = 2^exponent, read off the pivot valuations."""
 
-    Each word's orbit goes in one shift at a time and stops at the first
-    x^k w the span already holds.  That is exact: the module M of the
-    earlier words is shift-closed, so if x^k w lies in M + span(w, ...,
-    x^(k-1) w), that sum is shift-closed too and holds every later shift.
-    The orbit needs no bound, since x^lcm(alpha) w = w."""
-    packing = profile.packing
-    basis = Howell(sum(profile.alphas), profile.n)
-    for v in words:
-        w = v.w
-        while basis.insert(basis.pack(packing.embed(w))):
-            w = packing.shift(w)
-    return basis
+    def __init__(self, words, profile):
+        """Each word's orbit goes in one shift at a time and stops at the first
+        x^k w the span already holds.  That is exact: the module M of the
+        earlier words is shift-closed, so if x^k w lies in M + span(w, ...,
+        x^(k-1) w), that sum is shift-closed too and holds every later shift.
+        The orbit needs no bound, since x^lcm(alpha) w = w."""
+        packing, n = profile.packing, profile.n
+        self.profile, self.basis = profile, Howell(sum(profile.alphas), n)
+        for w in words:
+            while self.basis.insert(self.basis.pack(packing.embed(w))):
+                w = packing.shift(w)
+        self.exponent = sum(n - v for v, _, _ in self.basis.pivots.values())
+
+    def reduce(self, w):
+        """Multipliers c_r < 2^(n - v_r) writing the packed word w over the
+        pivots, in column order, or None when w is not in C."""
+        return self.basis.reduce(self.basis.pack(self.profile.packing.embed(w)))
+
+    def dual(self, budget):
+        """Sorted packed words of C-perp and its cyclic flag; over budget words, BudgetExceeded."""
+        profile, code, packing = self.profile, self.basis, self.profile.packing
+        n, size, m = profile.n, sum(profile.alphas), len(code)
+        # the kernel of A mod 2^n, read mod 2^i in block i and re-embedded, spans the embedded dual
+        kernel = [packing.embed(packing.pack(row[m:]) & packing.mask) for col, _, row
+                  in transpose_echelon([row for _, _, row in code], size, n) if col >= m]
+        basis = echelon_mod2k(kernel, n)
+        exponent = sum(n - v for _, v, _ in basis)
+        assert exponent + self.exponent == profile.space_size_exponent(), \
+            "|C| * |C-perp| != |ambient|"
+        if 1 << exponent > budget:
+            raise BudgetExceeded(f"dual has 2^{exponent} words, budget {budget}")
+        rows = [packing.unembed(row) for _, _, row in basis]
+        # the shift is additive: C-perp is shift-closed iff every shifted basis row is in it
+        cyclic = all(basis.reduce(basis.pack(packing.embed(packing.shift(w)))) is not None
+                     for w in rows)
+        # multipliers c < 2^(n - v): every word once
+        words = walk(packing, rows, [1 << (n - v) for _, v, _ in basis], 0, 1 << exponent)
+        return sorted(words), cyclic  # int order is flat() order
 
 
 class Decomposition:
-    """Multipliers over s.echelon: coeffs[r] < 2^(n - v_r) for pivot r."""
+    """Multipliers over C's basis (s.family.code): coeffs[r] < 2^(n - v_r) for pivot r."""
 
     def __init__(self, coeffs):
         self.coeffs = coeffs
 
     def evaluate(self, s: SpanningSet) -> Codeword:
-        terms = [[c * p for p in row] for c, (_, _, row) in zip(self.coeffs, s.echelon)]
+        terms = [[c * p for p in row] for c, (_, _, row) in zip(self.coeffs, s.family.code.basis)]
         packing, mod = s.profile.packing, 1 << s.profile.n
         return packing.codeword(packing.unembed([sum(col) % mod for col in zip(*terms)]))
 
 
 def membership_test(v: Codeword, s: SpanningSet) -> Decomposition | None:
-    """Multipliers writing v over s.echelon, or None when v is not in C.
+    """Multipliers writing v over C's basis (s.family.code), or None when v is not in C.
 
     Exact: the embedded v is in C iff it reduces to zero against the basis.
     A word over another profile raises ProfileMismatch."""
     if v.profile != s.profile:
         raise ProfileMismatch(f"word profile {v.profile.alphas} vs code {s.profile.alphas}")
-    packing, basis = s.profile.packing, s.echelon
-    coeffs = basis.reduce(basis.pack(packing.embed(v.w)))
+    coeffs = s.family.code.reduce(v.w)
     return None if coeffs is None else Decomposition(tuple(coeffs))
 
 

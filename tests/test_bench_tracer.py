@@ -133,7 +133,7 @@ def _traced(call):
 def test_tracer_sees_the_855_dual_build_no_codeword_per_shift(capsys):
     # the echelon build, the kernel and the shift-closure test stay on packed
     # words: the (8,5,5) dual builds its n = 3 generators and its |C-perp| = 4
-    # words, and code_echelon alone builds none
+    # words, and the Code build alone builds none
     argv = ["dual", f"{DOCS}/three_level_855.json"]
     dual, code = _traced(lambda: mixedcyclic.cli.main(argv))
     assert code == 0
@@ -141,7 +141,7 @@ def test_tracer_sees_the_855_dual_build_no_codeword_per_shift(capsys):
     assert dual.calls["codespace.Codeword.__post_init__"] <= 3 + 4
     with open(argv[1]) as fh:
         gens = mixedcyclic.cli.load_code_spec(fh.read())
-    words = gens.generator_codewords()
-    echelon, basis = _traced(lambda: mixedcyclic.spanning.code_echelon(words, gens.profile))
+    words = [v.w for v in gens.generator_codewords()]
+    echelon, code = _traced(lambda: mixedcyclic.spanning.Code(words, gens.profile))
     assert echelon.calls["codespace.Codeword.__post_init__"] == 0
-    assert sum(3 - v for _, v, _ in basis) == 31  # |C| = 2^31
+    assert sum(3 - v for _, v, _ in code.basis) == 31  # |C| = 2^31

@@ -151,11 +151,13 @@ def test_gray_command():
 
 
 def test_enum_command_stream_and_summary():
+    # the words come as one rendered text, the summary as the last entry
     _, lines, code = parse_and_dispatch("enum", f"{DOCS}/toy_n2.json")
     assert code == 0
-    assert lines[0] == "0,0,0|0,0,0"
-    assert lines[-1] == "# distinct=64 stream=64"
-    assert len(lines) == 65
+    text = "\n".join(lines).split("\n")
+    assert text[0] == "0,0,0|0,0,0"
+    assert text[-1] == "# distinct=64 stream=64"
+    assert len(text) == 65
 
 
 def test_mindist_command_with_distribution():
@@ -277,7 +279,7 @@ def test_json_report_mode():
     assert rc == 0
     doc = json.loads(out)
     assert doc["command"] == "count"
-    assert doc["payload"] == {"count": 64, "exponent": 6}
+    assert doc["payload"] == {"count": 64, "exponent": 6, "formula_exponent": 6}
     assert "wall_time" not in doc
 
 

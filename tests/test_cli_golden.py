@@ -11,10 +11,12 @@ options (``matrix --format json`` and ``--diff``, ``mindist
 --distribution``, ``validate --extend-iv``) and ``gray``.  It guards
 refactors of the CLI, which must leave every byte of it unchanged.
 
-The file records what the code prints, not what is true.  In
-particular the (8,5,5) ``count`` entry holds the paper's formula count
-t=28, which is known to be wrong (the code has 2^31 words; ROADMAP
-north-star aim 3): a fix to the count must update that entry on purpose.
+The file records what the code prints, not what is true.  The ``count``
+entries hold the exact t of C's Howell form (t=31 on (8,5,5) and t=23 on
+``unit48``, where the paper's formula gives 28 and 20; ``--json`` carries
+both as ``exponent`` and ``formula_exponent``).  The ``span`` and
+``matrix`` entries of those two codes still list rows that span less than
+the code (ROADMAP item 2): a fix there must update them on purpose.
 
 Regenerate with ``PYTHONPATH=src python tests/test_cli_golden.py`` from
 the repository root, and review the diff.

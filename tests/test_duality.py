@@ -21,7 +21,7 @@ from mixedcyclic.duality import (
     shift_adjoint_check,
     spanning_family,
 )
-from mixedcyclic.spanning import code_echelon
+from mixedcyclic.spanning import Code
 
 from test_random_families import _random_family
 from conftest import EVEN_LEAD_A2, UNIT_LAYER_A2, family_33
@@ -206,6 +206,18 @@ def test_dual_of_the_dual_is_the_closure():
         assert all(w.flat() in oracle.elements for w in double.dual_codewords)
 
 
+def test_dual_of_the_dual_is_the_code_on_every_desk_code():
+    # C-perp-perp = C without the closure: equal exponents, and each Howell
+    # basis reduces the other's rows to zero
+    for g in _desk_families() + _seeded_families(12):
+        code, ambient = g.code, 1 << g.profile.space_size_exponent()
+        perp = Code(code.dual(ambient)[0], g.profile)
+        double = Code(perp.dual(ambient)[0], g.profile)
+        assert double.exponent == code.exponent, g.profile
+        for a, b in ((code, double), (double, code)):
+            assert all(a.basis.reduce(a.basis.pack(row)) is not None for _, _, row in b.basis)
+
+
 def test_solved_dual_of_the_paper_example(example855):
     words = example855.generator_codewords()
     res = dual_code(words, example855.profile)
@@ -213,7 +225,7 @@ def test_solved_dual_of_the_paper_example(example855):
     family = spanning_family(words)
     assert all(inner_product(u, w) == 0 for w in res.dual_codewords for u in family)
     prof = example855.profile
-    code_exponent = sum(prof.n - v for _, v, _ in code_echelon(words, prof))
+    code_exponent = sum(prof.n - v for _, v, _ in Code([w.w for w in words], prof).basis)
     assert (code_exponent, prof.space_size_exponent()) == (31, 33)
 
 

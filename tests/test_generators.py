@@ -251,7 +251,7 @@ def test_each_level_is_built_once_per_family(example855, monkeypatch):
     g = example855
     report = validate_generators(g)
     s = build_spanning_set(g, report.require_cofactors())
-    assert s.echelon
+    assert s.family.code.basis
     assert g.generator_codewords() == [g.generator_codeword(i) for i in (1, 2, 3)]
     layers = sorted((i, 1 << j) for i in (1, 2, 3) for j in range(i))
     assert sorted(scaled) == layers

@@ -126,7 +126,7 @@ def test_random_families_echelon_exponent_equals_closure_size():
         s = build_spanning_set(g, derive_cofactors(g))
         oracle = module_closure(g.generator_codewords(), budget=1 << 16)
         assert oracle.saturated
-        exponent = sum(g.profile.n - v for _, v, _ in s.echelon)
+        exponent = sum(g.profile.n - v for _, v, _ in s.family.code.basis)
         assert len(oracle) == 1 << exponent, g.profile.alphas
 
 

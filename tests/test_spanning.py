@@ -1,5 +1,6 @@
 """Spanning sets: block sizes, counting, enumeration, membership, matrices."""
 
+import argparse
 import functools
 import itertools
 import math
@@ -260,7 +261,7 @@ def test_membership_of_rows_and_zero(toy2):
     _, s = spanning_for(toy2)
     zero = Codeword.zero(toy2.profile)
     dec = membership_test(zero, s)
-    assert dec is not None and dec.coeffs == (0,) * len(s.echelon)
+    assert dec is not None and dec.coeffs == (0,) * len(s.family.code.basis)
     for _, row in s.rows:
         dec = membership_test(row, s)
         assert dec is not None
@@ -309,13 +310,15 @@ def test_decomposition_respects_degree_and_modulus_bounds(toy2):
     for w in enumerate_codewords(s):
         dec = membership_test(w, s)
         assert dec is not None
-        assert len(dec.coeffs) == len(s.echelon)
-        for coeff, (_, v, _) in zip(dec.coeffs, s.echelon):
+        assert len(dec.coeffs) == len(s.family.code.basis)
+        for coeff, (_, v, _) in zip(dec.coeffs, s.family.code.basis):
             assert 0 <= coeff < 1 << (n - v)
 
 
 def echelon_exponent(s):
-    return sum(s.profile.n - v for _, v, _ in s.echelon)
+    # Code.exponent, checked against the pivots as they read out
+    assert s.family.code.exponent == sum(s.profile.n - v for _, v, _ in s.family.code.basis)
+    return s.family.code.exponent
 
 
 @pytest.mark.parametrize("a_2", [UNIT_LAYER_A2, EVEN_LEAD_A2], ids=["unit_layer", "even_lead"])
@@ -355,14 +358,30 @@ def test_membership_rejects_a_word_over_another_profile(toy2, alphas):
 
 def test_words_tested_on_one_set_share_one_echelon_build(toy2, monkeypatch):
     builds = []
-    real = spanning.code_echelon
-    monkeypatch.setattr(spanning, "code_echelon",
+    real = spanning.Code
+    monkeypatch.setattr(spanning, "Code",
                         lambda words, profile: builds.append(profile.n) or real(words, profile))
     _, s = spanning_for(toy2)
     oracle = module_closure(toy2.generator_codewords())
     for w in itertools.islice(all_codewords(toy2.profile), 4):
         assert (membership_test(w, s) is not None) == (w in oracle)
     assert builds == [2]
+
+
+def test_count_member_and_dual_on_one_family_build_one_howell_form(monkeypatch):
+    # count's exponent, membership and dual's kernel all read the family's one Code
+    builds = []
+    real = spanning.Howell
+    monkeypatch.setattr(spanning, "Howell", lambda *a: builds.append(a) or real(*a))
+    with open("demos/codes/three_level_855.json") as fh:
+        gens = cli.load_code_spec(fh.read())
+    report = cli.validate_generators(gens)
+    args = argparse.Namespace(budget_space=1 << 20)
+    assert cli._cmd_count(gens, report, args)[1] == ["t=31, |C|=2147483648"]
+    s = build_spanning_set(gens, report.require_cofactors())
+    assert all(membership_test(row, s) is not None for _, row in s.rows)
+    assert cli._cmd_dual(gens, report, args)[1][:2] == ["dual_count=4", "cyclic=true"]
+    assert builds == [(18, 3)]
 
 
 def test_generator_matrix_and_csv_roundtrip(toy2):
@@ -474,24 +493,35 @@ def test_cli_scans_wrap_fewer_codewords_than_words(argv, monkeypatch, capsys):
     assert wrapped < 64, wrapped
 
 
-def test_code_echelon_wraps_no_codeword(monkeypatch):
+def test_code_build_wraps_no_codeword(monkeypatch):
     with open("demos/codes/three_level_855.json") as fh:
         gens = cli.load_code_spec(fh.read())
-    words = gens.generator_codewords()
-    wrapped, basis = _count_wraps(monkeypatch, lambda: spanning.code_echelon(words, gens.profile))
+    words = [v.w for v in gens.generator_codewords()]
+    wrapped, code = _count_wraps(monkeypatch, lambda: spanning.Code(words, gens.profile))
     assert wrapped == 0
-    assert sum(3 - v for _, v, _ in basis) == 31  # |C| = 2^31
+    assert sum(3 - v for _, v, _ in code.basis) == 31  # |C| = 2^31
+
+
+def test_cli_dual_wraps_no_codeword_for_a_dual_word(monkeypatch, capsys):
+    # dual renders C-perp's packed words: of its 2^15 words none becomes a
+    # Codeword; the only wraps are the 7 generator words (from_polys)
+    argv = ["dual", "tests/data/tower_n7.json"]
+    wrapped, code = _count_wraps(monkeypatch, lambda: cli.main(argv))
+    assert code == 0 and capsys.readouterr().out.startswith("dual_count=32768\ncyclic=true\n")
+    assert wrapped <= 7, wrapped
 
 
 def test_echelon_is_the_written_out_embedding(binary7, toy2, example855, tower111):
     rng = random.Random(20240817)  # the 60 families of test_random_families
     for g in [binary7, toy2, example855, tower111] + [_random_family(rng) for _ in range(60)]:
         reference = pool_echelon(written_out_rows(g), g.profile.n)
-        assert same_module(spanning_for(g)[1].echelon, reference, g.profile.n), g.profile.alphas
-    assert list(spanning_for(toy2)[1].echelon) == [
+        assert same_module(spanning_for(g)[1].family.code.basis, reference, g.profile.n), \
+            g.profile.alphas
+    assert list(spanning_for(toy2)[1].family.code.basis) == [
         (0, 1, (2, 2, 0, 0, 0, 0)), (1, 1, (0, 2, 2, 0, 0, 0)), (2, 1, (0, 0, 2, 3, 1, 1)),
         (3, 1, (0, 0, 0, 2, 2, 2)), (4, 1, (0, 0, 0, 0, 2, 0)), (5, 1, (0, 0, 0, 0, 0, 2))]
-    assert list(spanning_for(tower111)[1].echelon) == [(1, 2, (0, 4, 0)), (2, 1, (0, 0, 2))]
+    assert list(spanning_for(tower111)[1].family.code.basis) == [(1, 2, (0, 4, 0)),
+                                                                 (2, 1, (0, 0, 2))]
 
 
 def test_855_echelon_stops_each_orbit_at_the_first_shift_that_adds_nothing(example855,
@@ -499,7 +529,7 @@ def test_855_echelon_stops_each_orbit_at_the_first_shift_that_adds_nothing(examp
     shifts = []
     real = Packing.shift
     monkeypatch.setattr(Packing, "shift", lambda self, w: shifts.append(w) or real(self, w))
-    basis = spanning.code_echelon(example855.generator_codewords(), example855.profile)
+    basis = example855.code.basis
     assert sum(3 - v for _, v, _ in basis) == 31
     # each orbit stops at its first shift already in the span; taking min(lcm, sum alpha) = 18
     # shifts of each of the 3 generators would be 54
