@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 import time
@@ -54,14 +53,15 @@ class SchemaError(ValueError):
 
 
 class RunReport:
-    def __init__(self, command, digest, payload, warnings=(), wall_time=0.0):
-        self.command, self.digest, self.payload = command, digest, payload
+    def __init__(self, command, source, payload, warnings=(), wall_time=0.0):
+        self.command, self.source, self.payload = command, source, payload
         self.warnings, self.wall_time = list(warnings), wall_time
 
     def to_json(self):
+        import hashlib  # only here: no run without --json pays the import
         doc = {
             "command": self.command,
-            "digest": self.digest,
+            "digest": hashlib.sha256(self.source.encode()).hexdigest(),  # of the document
             "payload": self.payload,
             "warnings": self.warnings,
         }
@@ -305,13 +305,12 @@ def dispatch(command, args) -> tuple[RunReport, list, int]:
     start = time.perf_counter()
     code = 0
     if command == "gray":
-        digest = hashlib.sha256(f"gray:{args.level}:{args.value}".encode()).hexdigest()
+        source = f"gray:{args.level}:{args.value}"
         payload, lines, warnings = _cmd_gray(args)
     else:
         with open(args.document) as fh:
-            text = fh.read()
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        gens = load_code_spec(text)
+            source = fh.read()
+        gens = load_code_spec(source)
         report = validate_generators(gens, extend_iv=getattr(args, "extend_iv", False))
         if report.passed:
             payload, lines, warnings = args.handler(gens, report, args)
@@ -320,7 +319,7 @@ def dispatch(command, args) -> tuple[RunReport, list, int]:
             payload, lines, warnings = _cmd_validate(gens, report, args)
             if args.handler is not _cmd_validate:  # the other commands nest the report
                 payload = {"validation": payload}
-    return (RunReport(command, digest, payload, [dict(w) for w in warnings],
+    return (RunReport(command, source, payload, [dict(w) for w in warnings],
                       time.perf_counter() - start), lines, code)
 
 

@@ -272,12 +272,14 @@ def to_polys(v: Codeword) -> PolyTuple:
 
 
 def from_polys(u: PolyTuple) -> Codeword:
-    """The x^j coefficient of component i becomes coordinate j of block i,
-    packed as it is: PolyTuple holds each component reduced, of degree < alpha_i."""
+    """The x^j coefficient of component i becomes coordinate j of block i, a byte
+    plane (Poly.planes) at a time: each component is reduced, of degree < alpha_i."""
     packing = u.profile.packing
-    flat = [c for p, a in zip(u.polys, u.profile.alphas)
-            for c in (p.coeffs + (0,) * a)[:a]]
-    return packing.codeword(packing.pack(flat))
+    step, out = packing.field_bytes, bytearray(packing.nbytes)
+    for p, (lo, hi) in zip(u.polys, packing.blocks):
+        for b, plane in enumerate(p.planes(hi - lo, step)):
+            out[(lo + 1) * step - 1 - b:hi * step:step] = plane
+    return packing.codeword(int.from_bytes(out, "big"))
 
 
 def cyclic_shift(v: Codeword) -> Codeword:

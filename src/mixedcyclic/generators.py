@@ -192,9 +192,15 @@ class Cofactors:
 
 
 class ConditionEntry:
-    def __init__(self, condition, level, index, passed, note):
-        self.condition = condition  # "i" | "ii" | "iii" | "iv"
-        self.level, self.index, self.passed, self.note = level, index, passed, note
+    """A verdict on condition "i"-"iv"; quote, a witness (name, poly), is formatted on reading."""
+
+    def __init__(self, condition, level, index, passed, note, quote=None):
+        self.condition, self.level, self.index, self.passed = condition, level, index, passed
+        self._note, self._quote = note, quote
+
+    @functools.cached_property  # read twice by validate: its lines and its payload
+    def note(self):
+        return self._note if self._quote is None else "%s: %s = %s" % (self._note, *self._quote)
 
     def line(self):
         where = f"i={self.level}" + ("" if self.index is None else f" j={self.index}")
@@ -253,9 +259,8 @@ class ValidationReport:
 
 def _entry(condition, level, index, note, name, witness):
     """A condition entry that passes iff its witness exists, and quotes it."""
-    if witness is not None:
-        note += f": {name} = {witness}"
-    return ConditionEntry(condition, level, index, witness is not None, note)
+    found = witness is not None
+    return ConditionEntry(condition, level, index, found, note, (name, witness) if found else None)
 
 
 def validate_generators(g: StructuredGenerators, extend_iv=False) -> ValidationReport:

@@ -26,7 +26,8 @@ never pays for them (an & costs the shorter side, _Layout.neg its own
 fields).  A long polynomial costs time linear in its length outside the
 product: a list of more than _WINDOW coefficients packs through bytes,
 each fold pass halves the length, and a long quotient is cleared
-_WINDOW fields at a time.
+_WINDOW fields at a time.  Howell rows take 2k + 1 bits a field, rounded up
+to whole bytes so rows move by byte slices: a field stays below 2^(2k+1).
 """
 
 from __future__ import annotations
@@ -134,6 +135,12 @@ class Poly:
     def coeffs(self):
         """The coefficients, ascending powers, no trailing zeros."""
         return _LAYOUTS[self.k].unpack(self.w)
+
+    def planes(self, length, nbytes):
+        """Planes b < nbytes: byte b of each of the first length coefficients."""
+        step = _LAYOUTS[self.k].width // 8
+        raw = self.w.to_bytes(length * step, "little")
+        return [raw[b::step] for b in range(nbytes)]
 
     @classmethod
     def zero(cls, k):
@@ -250,35 +257,36 @@ def poly_divmod_unit_lead(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     """
     if g.k != f.k:
         raise ModulusMismatch(f"k={g.k} vs k={f.k}")
-    if f.is_zero():
+    lay, fw, gw = _LAYOUTS[f.k], f.w, g.w
+    if not fw:
         raise ZeroDivisionError("division by the zero polynomial")
-    if not f.has_unit_lead():
+    width, top = lay.width, (fw.bit_length() - 1) // lay.width * lay.width  # top: below f's lead
+    if not fw >> top & 1:
         raise ValueError("leading coefficient is not a unit; division undefined")
-    lay, df = _LAYOUTS[f.k], f.degree()
-    inv_lead, neg = pow(f.leading(), -1, 1 << f.k), lay.neg(f.w)
-    size = lay.width * max(g.degree() - df + 1, 0) if g.w else 0  # bits of the quotient
-    step = lay.width * _WINDOW
+    inv_lead, neg = pow(fw >> top, -1, 1 << f.k), lay.neg(fw)
+    size = max(gw.bit_length() + width - 1 - top, 0) // width * width  # bits of the quotient
+    step = width * _WINDOW
     if size <= step:
-        q, rem = _clear(g.w, size, lay, df, inv_lead, neg)
+        q, rem = _clear(gw, size, lay, top, inv_lead, neg)
         return _poly(q, f.k), _poly(rem, f.k)
-    raw, rem, q = g.w.to_bytes(-(-g.w.bit_length() // 8), "little"), g.w >> size, []
+    raw, rem, q = gw.to_bytes(-(-gw.bit_length() // 8), "little"), gw >> size, []
     for end in range(size, 0, -step):
         lo = max(end - step, 0)
         part, rem = _clear(rem << end - lo | int.from_bytes(raw[lo // 8:end // 8], "little"),
-                           end - lo, lay, df, inv_lead, neg)
+                           end - lo, lay, top, inv_lead, neg)
         q.append(part.to_bytes((end - lo) // 8, "big"))
     return _poly(int.from_bytes(b"".join(q), "big"), f.k), _poly(rem, f.k)
 
 
-def _clear(w, bits, lay, df, inv_lead, neg):
-    """Divide w by f: clear the bits // width fields of w from field df up,
-    top first, and return the quotient and the masked remainder (neg is
-    2^k - f, inv_lead the inverse of f's lead).  Each quotient coefficient
-    t adds t * (2^k - f) under the field it clears: a field takes at most
-    deg f + 1 such adds, each below 2^(2k), so w is masked once at the end
-    unless deg f + 2 > 2^S."""
+def _clear(w, bits, lay, top, inv_lead, neg):
+    """Divide w by f: clear the bits // width fields of w from bit top (f's
+    lead field) up, top first, and return the quotient and the masked
+    remainder (neg is 2^k - f, inv_lead the inverse of f's lead).  Each
+    quotient coefficient t adds t * (2^k - f) under the field it clears: a
+    field takes at most deg f + 1 such adds, each below 2^(2k), so w is
+    masked once at the end unless deg f + 2 > 2^S."""
     width, low, mask, q = lay.width, lay.low, lay.mask, 0
-    top, every_step = width * df, df + 2 > 1 << lay.spare
+    every_step = top // width + 2 > 1 << lay.spare
     for shift in range(bits - width, -1, -width):
         t = (w >> shift + top & low) * inv_lead & low  # quotient field shift // width
         if t:
@@ -314,7 +322,8 @@ def solve_linear_mod2k(sys: LinearSystem):
     """
     k, r = sys.k, len(sys.matrix)
     ncols = len(sys.matrix[0]) if r else 0
-    image = [row for col, _, row in transpose_echelon(sys.matrix, ncols, k) if col < r]
+    pairs = transpose_echelon(list(map(Howell(ncols, k).pack, sys.matrix)), ncols, k)
+    image = [row for col, _, row in pairs if col < r]
     # the heads are a Howell form already, so inserted last first each one is its own pivot
     heads = Howell(r, k)
     for row in reversed(image):
@@ -329,18 +338,20 @@ class Howell:
     """Strong echelon (Howell) form over Z/2^k of a row span, built one row at a time.
 
     A row is one int: column 0 fills the most significant field, and each
-    field is 2k+1 bits wide.  Each pivot keeps (2^k - p) mod 2^k per field,
-    so clearing q < 2^k times it from a row is one multiply, one add and
-    one & mask: a field stays below 2^k + (2^k - 1)^2 < 2^(2k+1), and
-    nothing carries across fields (the packed rows of M4RI).  Pivots read
-    out as (col, v, row) in column order, each leading with exactly 2^v;
-    they span 2^sum(k - v) words (Storjohann-Mulders 1998).
+    field is 2k+1 bits rounded up to whole bytes, 8 * ceil((2k + 1) / 8).
+    Each pivot keeps (2^k - p) mod 2^k per field, so clearing q < 2^k times
+    it from a row is one multiply, one add and one & mask: a field stays
+    below 2^k + (2^k - 1)^2 < 2^(2k+1) whatever its width, and nothing
+    carries across fields (the packed rows of M4RI); whole bytes let rows
+    move as bytes.  Pivots read out as (col, v, row) in column order, each
+    leading with exactly 2^v; they span 2^sum(k - v) words (Storjohann-
+    Mulders 1998).
     """
 
     def __init__(self, ncols, k):
-        self.ncols, self.k, self.width, self.low = ncols, k, 2 * k + 1, (1 << k) - 1
-        self.shifts = [self.width * c for c in range(ncols - 1, -1, -1)]
-        ones = sum(1 << e for e in self.shifts)
+        self.ncols, self.k, self.low, self.width = ncols, k, (1 << k) - 1, -(-(2 * k + 1) // 8) * 8
+        self.shifts = list(range(self.width * (ncols - 1), -1, -self.width))
+        ones = ((1 << self.width * ncols) - 1) // ((1 << self.width) - 1)  # 1 in every field
         self.mask, self.top = self.low * ones, ones << k  # top: 2^k in every field
         self.pivots = {}  # col -> (v, row, (2^k - row) mod 2^k)
 
@@ -398,25 +409,36 @@ class Howell:
             yield col, v, tuple((row >> e) & self.low for e in self.shifts)
 
 
-def echelon_mod2k(rows, k):
-    """Howell form over Z/2^k of the Z-span of rows (equal-length lists), inserted in order."""
-    basis = Howell(len(rows[0]) if rows else 0, k)
+def echelon_mod2k(rows, k, ncols=None):
+    """Howell form over Z/2^k of rows (lists, or given ncols packed ints), inserted in order."""
+    basis = Howell(len(rows[0]) if rows else 0, k) if ncols is None else Howell(ncols, k)
     for row in rows:
-        basis.insert(basis.pack(row))
+        basis.insert(basis.pack(row) if ncols is None else row)
     return basis
 
 
-def transpose_echelon(matrix, ncols, k):
-    """Howell form of [A^T | I] for the len(matrix) x ncols matrix A over Z/2^k.
+def transpose_echelon(rows, ncols, k):
+    """Howell form of [A^T | I] for the len(rows) x ncols matrix A over Z/2^k,
+    its rows packed in Howell(ncols, k)'s layout.
 
     Row j is (column j of A, e_j), so the rows span the pairs (A x, x).
-    With r = len(matrix), the pivots in the first r columns lead the
-    image: their heads reduce any A x to zero, and their tails are the x
-    that reach each head.  The pivots past column r have zero heads, and
-    their tails span the kernel of A.
+    With r = len(rows), the pivots in the first r columns lead the image:
+    their heads reduce any A x to zero, and their tails are the x that
+    reach each head.  The pivots past column r have zero heads, and their
+    tails span the kernel of A.  Built as bytes: one strided slice per row
+    and byte of a field moves A's fields, and one more writes I.
     """
-    return echelon_mod2k([[row[j] for row in matrix] + [int(j == c) for c in range(ncols)]
-                          for j in range(ncols)], k)
+    m, pairs = len(rows), Howell(len(rows) + ncols, k)
+    step, line = pairs.width // 8, pairs.width // 8 * pairs.ncols  # line: bytes of a row
+    grid = bytearray(ncols * line)
+    for r, row in enumerate(rows):
+        raw = row.to_bytes(ncols * step, "big")
+        for b in range(step):
+            grid[r * step + b::line] = raw[b::step]
+    grid[(m + 1) * step - 1::line + step] = b"\1" * ncols
+    for j in range(ncols):
+        pairs.insert(int.from_bytes(grid[j * line:(j + 1) * line], "big"))
+    return pairs
 
 
 def divides_witness(f: Poly, g: Poly, alpha: int | None = None):
@@ -434,16 +456,17 @@ def divides_witness(f: Poly, g: Poly, alpha: int | None = None):
     """
     if f.k != g.k:
         raise ModulusMismatch(f"k={f.k} vs k={g.k}")
-    k = f.k
-    if f.has_unit_lead() and not g.is_zero() and g.degree() >= f.degree():
+    k, width = f.k, _LAYOUTS[f.k].width
+    top = (f.w.bit_length() - 1) // width * width  # the bits below f's lead, if f != 0
+    if f.w and f.w >> top & 1 and g.w.bit_length() > top:  # unit lead, g != 0, deg g >= deg f
         q, r = poly_divmod_unit_lead(g, f)
-        if r.is_zero():
+        if not r.w:
             return q
     if alpha is not None:
         f, g = f.reduce_cyclic(alpha), g.reduce_cyclic(alpha)
-    if g.is_zero():
-        return Poly.zero(k)
-    if f.is_zero() or (alpha is None and f.has_unit_lead()):
+    if not g.w:
+        return _poly(0, k)
+    if not f.w or (alpha is None and f.has_unit_lead()):
         return None
     # the matrix of q -> q*f: column i is x^i*f, its coefficient j in row
     # (i + j) % size; only the quotient ring wraps

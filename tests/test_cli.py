@@ -16,7 +16,7 @@ import pytest
 from mixedcyclic.cli import SchemaError, build_parser, dispatch, load_code_spec, main
 from mixedcyclic.closure import module_closure
 from mixedcyclic.duality import dual_code
-from mixedcyclic.generators import validate_generators
+from mixedcyclic.generators import derive_cofactors, validate_generators
 from mixedcyclic.metrics import weight_distribution
 from mixedcyclic.modring import Poly
 from mixedcyclic.spanning import build_spanning_set, iter_packed_range
@@ -345,6 +345,22 @@ def test_count_derives_the_witnesses_once(monkeypatch):
     count = witness_calls(monkeypatch, "count", doc)
     for name in WITNESS_FUNCTIONS:
         assert count[name] <= validate[name], (name, count, validate)
+
+
+def test_witness_notes_are_formatted_only_when_read(monkeypatch):
+    # a passing family: only validate prints the witnesses, so only it formats them
+    doc = f"{DOCS}/three_level_855.json"
+    calls = []
+    real = Poly.__str__
+    monkeypatch.setattr(Poly, "__str__", lambda p: calls.append(p) or real(p))
+    for command in ("count", "span", "matrix"):
+        _, _, code = parse_and_dispatch(command, doc)
+        assert code == 0 and calls == [], command
+    with open(doc) as fh:
+        derive_cofactors(load_code_spec(fh.read()))
+    assert calls == []
+    report, lines, code = parse_and_dispatch("validate", doc)
+    assert code == 0 and calls and all(real(p) in "\n".join(lines) for p in calls)
 
 
 def test_family_that_passes_without_all_cofactors(tmp_path, capsys):

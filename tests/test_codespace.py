@@ -5,10 +5,13 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedcyclic.codespace import (
     AlphabetProfile,
     Codeword,
+    PolyTuple,
     ProfileMismatch,
     all_codewords,
     cyclic_shift,
@@ -255,3 +258,34 @@ def test_packing_embed_scales_block_i_by_2_to_the_n_minus_i():
         scaled = [c * 2 ** (n - i) for i, block in enumerate(v.components, start=1) for c in block]
         assert packing.embed(w) == scaled, v.to_text()
         assert packing.unembed(packing.embed(w)) == w, v.to_text()
+
+
+@st.composite
+def poly_tuples(draw):
+    """A PolyTuple over a profile with n from 1 to 13: Poly fields of 32 bits
+    up to level 12 and of 64 at level 13, word fields of two bytes from n = 8."""
+    n = draw(st.integers(1, 13), label="n")
+    alphas = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n), label="alphas")
+    polys = tuple(Poly(draw(st.lists(st.integers(0, (1 << i) - 1), max_size=a)), i)
+                  for i, a in enumerate(alphas, start=1))
+    return PolyTuple(AlphabetProfile(alphas, allow_nonstandard=True), polys)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(poly_tuples())
+def test_from_polys_byte_planes_are_the_coefficient_path(u):
+    packing = u.profile.packing
+    flat = [c for p, a in zip(u.polys, u.profile.alphas) for c in (p.coeffs + (0,) * a)[:a]]
+    assert from_polys(u).w == packing.pack(flat)
+
+
+def test_from_polys_at_the_poly_and_word_field_boundaries():
+    # levels 12 and 13 hold 32- and 64-bit Poly fields; n = 8 and 13 two-byte word fields
+    rng = random.Random(27)
+    for n in (7, 8, 12, 13):
+        prof = AlphabetProfile([3] * n, allow_nonstandard=True)
+        for _ in range(20):
+            u = PolyTuple(prof, tuple(Poly([rng.randrange(1 << i) for _ in range(3)], i)
+                                      for i in prof.levels()))
+            assert from_polys(u).components == tuple(
+                tuple(p.coeffs + (0,) * (3 - len(p.coeffs))) for p in u.polys)

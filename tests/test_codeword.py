@@ -96,9 +96,10 @@ def test_render_joins_the_text_of_each_word(case):
 def test_importing_the_package_leaves_out_dataclasses_and_inspect():
     # concurrent.futures stays imported on purpose: cli and duality bind
     # ThreadPoolExecutor, and bench/tracer.py patches those bindings
-    # (POOL_SITES), so the pools and that patch go together (ROADMAP item 4)
+    # (POOL_SITES), so the pools and that patch go together (ROADMAP item 4);
+    # hashlib is imported only when a --json report reads its digest
     probe = ("import sys, mixedcyclic, mixedcyclic.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(mixedcyclic.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedcyclic.modring import (
+    Howell,
     LinearSystem,
     ModulusMismatch,
     Poly,
@@ -17,6 +18,7 @@ from mixedcyclic.modring import (
     poly_divmod_unit_lead,
     poly_mul,
     solve_linear_mod2k,
+    transpose_echelon,
 )
 
 from conftest import kernel_families, pool_echelon, pool_reduce, same_module, written_out_rows
@@ -334,6 +336,27 @@ def test_howell_engine_properties(data):
         # the Howell property: the saturation lies in the span of the later pivots
         assert pool_reduce([(c << (k - v)) % (1 << k) for c in row], pivots[t + 1:], k) is not None
     assert sum(k - v for _, v, _ in pivots) == sum(k - v for _, v, _ in pool_echelon(rows, k))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_byte_transpose_is_the_written_out_transpose(data):
+    # k up to 12: Howell fields of one, two, three and four bytes
+    k = data.draw(st.integers(1, 12), label="k")
+    ncols = data.draw(st.integers(0, 7), label="ncols")
+    entry = st.integers(0, (1 << k) - 1)
+    matrix = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6),
+                       label="matrix")
+    packed = list(map(Howell(ncols, k).pack, matrix))
+    # the per-field path: [A^T | I] written out as lists and packed one entry at a time
+    pairs = echelon_mod2k([[row[j] for row in matrix] + [int(j == c) for c in range(ncols)]
+                           for j in range(ncols)], k)
+    assert transpose_echelon(packed, ncols, k).pivots == pairs.pivots
+    assert echelon_mod2k(packed, k, ncols).pivots == echelon_mod2k(matrix, k).pivots
+
+
+def test_howell_fields_are_whole_bytes():
+    assert [Howell(2, k).width for k in (1, 3, 4, 7, 8, 11, 12)] == [8, 8, 16, 16, 24, 24, 32]
 
 
 # --- the layout against plain tuples --------------------------------------

@@ -511,6 +511,34 @@ def test_cli_dual_wraps_no_codeword_for_a_dual_word(monkeypatch, capsys):
     assert wrapped <= 7, wrapped
 
 
+@st.composite
+def packed_words_over_n(draw):
+    """A profile with n from 1 to 9 (Howell fields of one, two and three bytes)
+    and packed words over it, with raw entries below 2^n for kernel tails."""
+    n = draw(st.integers(1, 9), label="n")
+    alphas = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n), label="alphas")
+    packing = AlphabetProfile(alphas, allow_nonstandard=True).packing
+    words = draw(st.lists(st.tuples(*(st.integers(0, (1 << i) - 1) for i in packing.levels)),
+                          max_size=4), label="words")
+    raw = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=len(packing.levels),
+                        max_size=len(packing.levels)), label="raw")
+    return packing, [packing.pack(w) for w in words], raw
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(packed_words_over_n())
+def test_byte_spread_is_the_embedding(case):
+    packing, words, raw = case
+    code = spanning.Code([], packing.profile)
+    for w in words:
+        row = code.basis.pack(packing.embed(w))
+        assert code.row(w) == row
+        assert code.word(row) == packing.unembed(packing.embed(w)) == w
+    # a kernel tail: entries below 2^n, read mod 2^i in block i and embedded
+    assert code._embed(code.basis.pack(raw)) == \
+        code.basis.pack(packing.embed(packing.pack(raw) & packing.mask))
+
+
 def test_echelon_is_the_written_out_embedding(binary7, toy2, example855, tower111):
     rng = random.Random(20240817)  # the 60 families of test_random_families
     for g in [binary7, toy2, example855, tower111] + [_random_family(rng) for _ in range(60)]:
