@@ -192,11 +192,9 @@ class Cofactors:
 
 
 class ConditionEntry:
-    """A verdict on condition "i"-"iv"; quote, a witness (name, poly), is formatted on reading."""
-
     def __init__(self, condition, level, index, passed, note, quote=None):
         self.condition, self.level, self.index, self.passed = condition, level, index, passed
-        self._note, self._quote = note, quote
+        self._note, self._quote = note, quote  # quote: a witness (name, poly), or None
 
     @functools.cached_property  # read twice by validate: its lines and its payload
     def note(self):

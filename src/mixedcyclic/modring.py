@@ -137,10 +137,11 @@ class Poly:
         return _LAYOUTS[self.k].unpack(self.w)
 
     def planes(self, length, nbytes):
-        """Planes b < nbytes: byte b of each of the first length coefficients."""
+        """Planes b < nbytes: byte b of each of the first length coefficients, but
+        none past a field's width / 8 bytes, as a coefficient is below 2^k."""
         step = _LAYOUTS[self.k].width // 8
         raw = self.w.to_bytes(length * step, "little")
-        return [raw[b::step] for b in range(nbytes)]
+        return [raw[b::step] for b in range(min(nbytes, step))]
 
     @classmethod
     def zero(cls, k):
@@ -338,14 +339,13 @@ class Howell:
     """Strong echelon (Howell) form over Z/2^k of a row span, built one row at a time.
 
     A row is one int: column 0 fills the most significant field, and each
-    field is 2k+1 bits rounded up to whole bytes, 8 * ceil((2k + 1) / 8).
+    field is 2k+1 bits rounded up to whole bytes, so rows move as bytes.
     Each pivot keeps (2^k - p) mod 2^k per field, so clearing q < 2^k times
     it from a row is one multiply, one add and one & mask: a field stays
-    below 2^k + (2^k - 1)^2 < 2^(2k+1) whatever its width, and nothing
-    carries across fields (the packed rows of M4RI); whole bytes let rows
-    move as bytes.  Pivots read out as (col, v, row) in column order, each
-    leading with exactly 2^v; they span 2^sum(k - v) words (Storjohann-
-    Mulders 1998).
+    below 2^k + (2^k - 1)^2 < 2^(2k+1), and nothing carries across fields
+    (the packed rows of M4RI).  Pivots read out as (col, v, row) in column
+    order, each leading with exactly 2^v; they span 2^sum(k - v) words
+    (Storjohann-Mulders 1998).
     """
 
     def __init__(self, ncols, k):
@@ -408,12 +408,28 @@ class Howell:
             v, row, _ = self.pivots[col]
             yield col, v, tuple((row >> e) & self.low for e in self.shifts)
 
+    def rows(self, start=0):
+        """(v, packed row) of each pivot from column start on (zero before it), in order."""
+        return [(v, row) for col, (v, row, _) in sorted(self.pivots.items()) if col >= start]
 
-def echelon_mod2k(rows, k, ncols=None):
-    """Howell form over Z/2^k of rows (lists, or given ncols packed ints), inserted in order."""
-    basis = Howell(len(rows[0]) if rows else 0, k) if ncols is None else Howell(ncols, k)
+    def spread(self, w, nbytes, back=False):
+        """The row whose fields hold the low bytes of w's fields of nbytes bytes
+        (column 0 the most significant); back, the row w's fields as such fields."""
+        old, new = (self.width // 8, nbytes) if back else (nbytes, self.width // 8)
+        if old == new:
+            return w
+        raw = w.to_bytes(-(-w.bit_length() // (8 * old)) * old, "big")
+        out, keep = bytearray(len(raw) // old * new), min(old, new)
+        for b in range(keep):  # a strided slice per byte kept
+            out[new - keep + b::new] = raw[old - keep + b::old]
+        return int.from_bytes(out, "big")
+
+
+def echelon_mod2k(rows, ncols, k):
+    """Howell form over Z/2^k of the packed rows of Howell(ncols, k), inserted in order."""
+    basis = Howell(ncols, k)
     for row in rows:
-        basis.insert(basis.pack(row) if ncols is None else row)
+        basis.insert(row)
     return basis
 
 

@@ -186,8 +186,8 @@ def distinct_codewords(s: SpanningSet, budget=1 << 16):
 class Code:
     """The cyclic code packed words generate: basis, its Howell form over Z/2^n in
     Packing.embed form, and |C| = 2^exponent, read off the pivot valuations.  row
-    spreads a word's bytes, each Packing field into the low bytes of its Howell
-    field, then masks and shifts block i up by n - i; word undoes both."""
+    spreads a word's Packing fields into Howell fields (Howell.spread), then
+    masks and shifts block i up by n - i; word undoes both."""
 
     def __init__(self, words, profile):
         """Each word's orbit goes in one shift at a time and stops at the first
@@ -197,23 +197,23 @@ class Code:
         The orbit needs no bound, since x^lcm(alpha) w = w."""
         packing, n = profile.packing, profile.n
         self.profile, self.packing, self.basis = profile, packing, Howell(sum(profile.alphas), n)
-        # per block: 2^i - 1 in each of its fields (bits e[hi - 1] to e[lo] + i), and 2^(n - i)
-        e, low = self.basis.shifts, self.basis.top >> n
-        self.blocks = [(low * ((1 << i) - 1) & (1 << e[lo] + i) - (1 << e[hi - 1]), n - i)
+        # per block: 2^i - 1 in each of its fields, and 2^(n - i)
+        self.blocks = [(self.basis.spread(packing.pack([0] * lo + packing.lows[lo:hi]),
+                                          packing.field_bytes), n - i)
                        for i, (lo, hi) in enumerate(packing.blocks, start=1)]
         for w in words:
             while self.basis.insert(self.row(w)):
                 w = packing.shift(w)
-        self.exponent = sum(n - v for v, _, _ in self.basis.pivots.values())
+        self.exponent = sum(n - v for v, _ in self.basis.rows())
 
     def row(self, w):
         """basis.pack(packing.embed(w)) of the packed word w."""
-        return self._embed(_move_fields(w, self.packing.field_bytes, self.basis.width // 8))
+        return self._embed(self.basis.spread(w, self.packing.field_bytes))
 
     def word(self, row):
         """packing.unembed of a Howell row in the embedding's image."""
-        return _move_fields(sum((row >> e) & m for m, e in self.blocks), self.basis.width // 8,
-                            self.packing.field_bytes)
+        return self.basis.spread(sum((row >> e) & m for m, e in self.blocks),
+                                 self.packing.field_bytes, back=True)
 
     def _embed(self, row):
         """Field entries of block i read mod 2^i and scaled by 2^(n - i)."""
@@ -226,16 +226,13 @@ class Code:
 
     def dual(self, budget):
         """Sorted packed words of C-perp and its cyclic flag; over budget words, BudgetExceeded."""
-        profile, code, packing = self.profile, self.basis, self.packing
-        n, size, m = profile.n, code.ncols, len(code)
-        # the kernel of A mod 2^n, read mod 2^i in block i and re-embedded, spans the
-        # embedded dual; a kernel pivot's tail x is its row's low size fields
-        pairs = transpose_echelon([row for _, (_, row, _) in sorted(code.pivots.items())], size, n)
-        basis = echelon_mod2k([self._embed(row & (1 << code.width * size) - 1) for col, (_, row, _)
-                               in sorted(pairs.pivots.items()) if col >= m], n, size)
-        pivots = [(v, self.word(row)) for _, (v, row, _) in sorted(basis.pivots.items())]
+        n, code, packing = self.profile.n, self.basis, self.packing
+        # A's kernel, the tails of [A^T | I] past A's rows, read mod 2^i in block i, spans C-perp
+        pairs = transpose_echelon([row for _, row in code.rows()], code.ncols, n)
+        basis = echelon_mod2k([self._embed(r) for _, r in pairs.rows(len(code))], code.ncols, n)
+        pivots = [(v, self.word(row)) for v, row in basis.rows()]
         exponent = sum(n - v for v, _ in pivots)
-        assert exponent + self.exponent == profile.space_size_exponent(), \
+        assert exponent + self.exponent == self.profile.space_size_exponent(), \
             "|C| * |C-perp| != |ambient|"
         if 1 << exponent > budget:
             raise BudgetExceeded(f"dual has 2^{exponent} words, budget {budget}")
@@ -245,17 +242,6 @@ class Code:
         words = walk(packing, [w for _, w in pivots], [1 << (n - v) for v, _ in pivots],
                      0, 1 << exponent)
         return sorted(words), cyclic  # int order is flat() order
-
-
-def _move_fields(w, old, new):
-    """w's fields of old bytes as fields of new bytes: their low bytes, a slice each."""
-    if old == new:
-        return w
-    raw = w.to_bytes(-(-w.bit_length() // (8 * old)) * old, "big")
-    out, keep = bytearray(len(raw) // old * new), min(old, new)
-    for b in range(keep):
-        out[new - keep + b::new] = raw[old - keep + b::old]
-    return int.from_bytes(out, "big")
 
 
 class Decomposition:

@@ -280,9 +280,10 @@ def test_from_polys_byte_planes_are_the_coefficient_path(u):
 
 
 def test_from_polys_at_the_poly_and_word_field_boundaries():
-    # levels 12 and 13 hold 32- and 64-bit Poly fields; n = 8 and 13 two-byte word fields
+    # levels 12 and 13 hold 32- and 64-bit Poly fields; n = 8 and 13 two-byte word fields;
+    # at n = 32 a word field (5 bytes) is wider than the 4-byte Poly fields of levels 1-12
     rng = random.Random(27)
-    for n in (7, 8, 12, 13):
+    for n in (7, 8, 12, 13, 32):
         prof = AlphabetProfile([3] * n, allow_nonstandard=True)
         for _ in range(20):
             u = PolyTuple(prof, tuple(Poly([rng.randrange(1 << i) for _ in range(3)], i)
