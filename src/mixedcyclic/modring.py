@@ -137,8 +137,7 @@ class Poly:
         return _LAYOUTS[self.k].unpack(self.w)
 
     def planes(self, length, nbytes):
-        """Planes b < nbytes: byte b of each of the first length coefficients, but
-        none past a field's width / 8 bytes, as a coefficient is below 2^k."""
+        """Byte b of the first length coefficients, a plane each b < min(nbytes, field bytes)."""
         step = _LAYOUTS[self.k].width // 8
         raw = self.w.to_bytes(length * step, "little")
         return [raw[b::step] for b in range(min(nbytes, step))]
@@ -338,21 +337,20 @@ def solve_linear_mod2k(sys: LinearSystem):
 class Howell:
     """Strong echelon (Howell) form over Z/2^k of a row span, built one row at a time.
 
-    A row is one int: column 0 fills the most significant field, and each
-    field is 2k+1 bits rounded up to whole bytes, so rows move as bytes.
-    Each pivot keeps (2^k - p) mod 2^k per field, so clearing q < 2^k times
-    it from a row is one multiply, one add and one & mask: a field stays
-    below 2^k + (2^k - 1)^2 < 2^(2k+1), and nothing carries across fields
-    (the packed rows of M4RI).  Pivots read out as (col, v, row) in column
-    order, each leading with exactly 2^v; they span 2^sum(k - v) words
-    (Storjohann-Mulders 1998).
+    A row is one int, column 0 in the most significant field; a field is 2k+1
+    bits rounded up to whole bytes, so rows move as bytes.  Each pivot keeps
+    (2^k - p) mod 2^k per field, so clearing q < 2^k times it from a row is
+    one multiply, one add and one & mask: a field stays below 2^k + (2^k - 1)^2
+    < 2^(2k+1), and nothing carries across fields (the packed rows of M4RI).
+    Pivots read out as (col, v, row) in column order, each leading with exactly
+    2^v; they span 2^sum(k - v) words (Storjohann-Mulders 1998).
     """
 
     def __init__(self, ncols, k):
         self.ncols, self.k, self.low, self.width = ncols, k, (1 << k) - 1, -(-(2 * k + 1) // 8) * 8
         self.shifts = list(range(self.width * (ncols - 1), -1, -self.width))
-        ones = ((1 << self.width * ncols) - 1) // ((1 << self.width) - 1)  # 1 in every field
-        self.mask, self.top = self.low * ones, ones << k  # top: 2^k in every field
+        self.ones = ((1 << self.width * ncols) - 1) // ((1 << self.width) - 1)  # 1 a field
+        self.mask, self.top = self.low * self.ones, self.ones << k  # top: 2^k in every field
         self.pivots = {}  # col -> (v, row, (2^k - row) mod 2^k)
 
     def pack(self, entries):
@@ -411,6 +409,10 @@ class Howell:
     def rows(self, start=0):
         """(v, packed row) of each pivot from column start on (zero before it), in order."""
         return [(v, row) for col, (v, row, _) in sorted(self.pivots.items()) if col >= start]
+
+    def fill(self, c, lo, hi):
+        """The row with c < 2^k in columns lo to hi - 1 and zero elsewhere."""
+        return c * self.ones & (1 << self.shifts[lo] + self.width) - (1 << self.shifts[hi - 1])
 
     def spread(self, w, nbytes, back=False):
         """The row whose fields hold the low bytes of w's fields of nbytes bytes

@@ -186,8 +186,7 @@ def distinct_codewords(s: SpanningSet, budget=1 << 16):
 class Code:
     """The cyclic code packed words generate: basis, its Howell form over Z/2^n in
     Packing.embed form, and |C| = 2^exponent, read off the pivot valuations.  row
-    spreads a word's Packing fields into Howell fields (Howell.spread), then
-    masks and shifts block i up by n - i; word undoes both."""
+    byte-spreads a word into Howell fields, then shifts block i up by n - i."""
 
     def __init__(self, words, profile):
         """Each word's orbit goes in one shift at a time and stops at the first
@@ -198,8 +197,7 @@ class Code:
         packing, n = profile.packing, profile.n
         self.profile, self.packing, self.basis = profile, packing, Howell(sum(profile.alphas), n)
         # per block: 2^i - 1 in each of its fields, and 2^(n - i)
-        self.blocks = [(self.basis.spread(packing.pack([0] * lo + packing.lows[lo:hi]),
-                                          packing.field_bytes), n - i)
+        self.blocks = [(self.basis.fill((1 << i) - 1, lo, hi), n - i)
                        for i, (lo, hi) in enumerate(packing.blocks, start=1)]
         for w in words:
             while self.basis.insert(self.row(w)):

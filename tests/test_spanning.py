@@ -530,6 +530,11 @@ def packed_words_over_n(draw):
 def test_byte_spread_is_the_embedding(case):
     packing, words, raw = case
     code = spanning.Code([], packing.profile)
+    # Howell.fill: 2^i - 1 in block i's fields, written out entry by entry
+    size = len(packing.levels)
+    assert [m for m, _ in code.blocks] == [
+        code.basis.pack([0] * lo + [(1 << i) - 1] * (hi - lo) + [0] * (size - hi))
+        for i, (lo, hi) in enumerate(packing.blocks, start=1)]
     for w in words:
         row = code.basis.pack(packing.embed(w))
         assert code.row(w) == row
