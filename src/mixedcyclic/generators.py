@@ -192,13 +192,15 @@ class Cofactors:
 
 
 class ConditionEntry:
-    def __init__(self, condition, level, index, passed, note, quote=None):
+    def __init__(self, condition, level, index, passed, template, args, quote=None):
         self.condition, self.level, self.index, self.passed = condition, level, index, passed
-        self._note, self._quote = note, quote  # quote: a witness (name, poly), or None
+        # the note is template.format(*args); quote: a witness (name, poly), or None
+        self._template, self._args, self._quote = template, args, quote
 
     @functools.cached_property  # read twice by validate: its lines and its payload
     def note(self):
-        return self._note if self._quote is None else "%s: %s = %s" % (self._note, *self._quote)
+        note = self._template.format(*self._args)
+        return note if self._quote is None else "%s: %s = %s" % (note, *self._quote)
 
     def line(self):
         where = f"i={self.level}" + ("" if self.index is None else f" j={self.index}")
@@ -255,10 +257,11 @@ class ValidationReport:
         }
 
 
-def _entry(condition, level, index, note, name, witness):
+def _entry(condition, level, index, template, args, name, witness):
     """A condition entry that passes iff its witness exists, and quotes it."""
     found = witness is not None
-    return ConditionEntry(condition, level, index, found, note, (name, witness) if found else None)
+    return ConditionEntry(condition, level, index, found, template, args,
+                          (name, witness) if found else None)
 
 
 def validate_generators(g: StructuredGenerators, extend_iv=False) -> ValidationReport:
@@ -285,7 +288,7 @@ def validate_generators(g: StructuredGenerators, extend_iv=False) -> ValidationR
                 gaps.append((i, j, "a | x^alpha - 1"))
             else:
                 h[(i, j)] = w
-        entries.append(_entry("i", i, 0, f"a[{i}][0] | x^{alpha}-1", "h", h.get((i, 0))))
+        entries.append(_entry("i", i, 0, "a[{0}][0] | x^{1}-1", (i, alpha), "h", h.get((i, 0))))
         for j in range(1, i):
             a, target = g.a(i, j), g.a(i, j - 1)
             w = divides_witness(a, target, alpha)
@@ -293,7 +296,7 @@ def validate_generators(g: StructuredGenerators, extend_iv=False) -> ValidationR
                 gaps.append((i, j, "a_{ij} | a_{i,j-1}"))
             else:
                 m[(i, j)] = w
-            entries.append(_entry("i", i, j, f"a[{i}][{j}] | a[{i}][{j - 1}]", "m", w))
+            entries.append(_entry("i", i, j, "a[{0}][{1}] | a[{0}][{2}]", (i, j, j - 1), "m", w))
             diff = target.degree() - a.degree()
             if diff < 0:
                 cofactor_warnings.append(
@@ -307,14 +310,15 @@ def validate_generators(g: StructuredGenerators, extend_iv=False) -> ValidationR
         for j in sorted({1, i}):
             dl, da = g.l(i + 1, j).degree(), g.a(j, 0).degree()
             entries.append(ConditionEntry("ii", i, j, dl is None or dl < da,
-                                          f"deg l[{i + 1}][{j}] < deg a[{j}][0] ({dl} vs {da})"))
+                                          "deg l[{0}][{1}] < deg a[{1}][0] ({2} vs {3})",
+                                          (i + 1, j, dl, da)))
 
     # (iii): a_i divides h_{i+1,i} * l_{i+1,i}; the witness is d_i
     for i in range(1, profile.n):
         hi = h.get((i + 1, i))
         if hi is None:
             entries.append(ConditionEntry(
-                "iii", i, None, False, f"h[{i + 1}][{i}] unavailable (condition (i) failed)"))
+                "iii", i, None, False, "h[{0}][{1}] unavailable (condition (i) failed)", (i + 1, i)))
             continue
         rhs = hi.at_level(i) * g.l(i + 1, i).at_level(i)
         w = divides_witness(g.a_total(i), rhs, profile.alpha(i))
@@ -322,21 +326,20 @@ def validate_generators(g: StructuredGenerators, extend_iv=False) -> ValidationR
             gaps.append((i, None, "a_i | h_{i+1,i} * l_{i+1,i}"))
         else:
             d[i] = w
-        entries.append(_entry("iii", i, None, f"a_{i} | h[{i + 1}][{i}]*l[{i + 1}][{i}]", "d", w))
+        entries.append(_entry("iii", i, None, "a_{0} | h[{1}][{0}]*l[{1}][{0}]", (i, i + 1), "d", w))
 
     # (iv): adjacent compatibility through d_i, for i = 2..n-1 as printed
     for i in range(2, profile.n):
         if i not in d:
             entries.append(ConditionEntry(
-                "iv", i, None, False, f"d_{i} unavailable (condition (iii) failed)"))
+                "iv", i, None, False, "d_{0} unavailable (condition (iii) failed)", (i,)))
             continue
         k = i - 1
         bracket = (d[i].at_level(k) * g.l(i, i - 1).at_level(k)
                    - h[(i + 1, i)].at_level(k) * g.l(i + 1, i - 1).at_level(k))
         w = divides_witness(g.a_total(k), bracket, profile.alpha(k))
-        entries.append(_entry(
-            "iv", i, None,
-            f"a_{k} | d_{i}*l[{i}][{i - 1}] - h[{i + 1}][{i}]*l[{i + 1}][{i - 1}]", "witness", w))
+        entries.append(_entry("iv", i, None, "a_{0} | d_{1}*l[{1}][{0}] - h[{2}][{1}]*l[{2}][{0}]",
+                              (k, i, i + 1), "witness", w))
     if extend_iv:
         notes.append(
             f"condition (iv) extension to i={profile.n} is vacuous: "

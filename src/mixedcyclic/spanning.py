@@ -230,8 +230,8 @@ class Code:
         basis = echelon_mod2k([self._embed(r) for _, r in pairs.rows(len(code))], code.ncols, n)
         pivots = [(v, self.word(row)) for v, row in basis.rows()]
         exponent = sum(n - v for v, _ in pivots)
-        assert exponent + self.exponent == self.profile.space_size_exponent(), \
-            "|C| * |C-perp| != |ambient|"
+        if exponent + self.exponent != self.profile.space_size_exponent():
+            raise AssertionError("|C| * |C-perp| != |ambient|")
         if 1 << exponent > budget:
             raise BudgetExceeded(f"dual has 2^{exponent} words, budget {budget}")
         # the shift is additive: C-perp is shift-closed iff every shifted basis row is in it

@@ -1,7 +1,10 @@
 """Shared desk-scale code instances used across the suite."""
 
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -104,8 +107,7 @@ def codeword_closure(seeds, budget=1 << 20):
         next_frontier = []
         for b in frontier:
             for g in orbit:
-                c = tuple(tuple((x + y) % (1 << i) for x, y in zip(u, v))
-                          for i, (u, v) in enumerate(zip(b, g), start=1))
+                c = _add_blocks(b, g)
                 if _flat(c) not in elements:
                     if len(elements) >= budget:
                         return frozenset(elements), False
@@ -113,6 +115,46 @@ def codeword_closure(seeds, budget=1 << 20):
                     next_frontier.append(c)
         frontier = next_frontier
     return frozenset(elements), True
+
+
+def coset_closure(seeds, budget=1 << 20):
+    """(flat tuples, saturated) of the closure of {0} + seeds built by cosets,
+    over plain tuples of blocks: for each distinct shift g of each seed, in
+    that order, with H the group so far, the cosets H + g, H + 2g, ... are
+    added whole until one is already in, stopping before the first coset that
+    would take the set past budget.  Each coset is checked to be wholly new or
+    wholly in, which is what lets the closure under test look up one word."""
+    profile = seeds[0].profile
+    orbit = list(dict.fromkeys(w for s in seeds for w in _orbit(s.components, profile)))
+    zero = tuple((0,) * a for a in profile.alphas)
+    group = {_flat(zero): zero}
+    for g in orbit:
+        coset = list(group.values())
+        while True:
+            coset = [_add_blocks(b, g) for b in coset]
+            new = [c for c in coset if _flat(c) not in group]
+            if not new:
+                break
+            assert len(new) == len(coset), "a coset that is partly in the group"
+            if len(group) + len(new) > budget:
+                return frozenset(group), False
+            group.update((_flat(c), c) for c in new)
+    return frozenset(group), True
+
+
+def _add_blocks(u, v):
+    """u + v over tuples of blocks, block i added mod 2^i."""
+    return tuple(tuple((x + y) % (1 << i) for x, y in zip(a, b))
+                 for i, (a, b) in enumerate(zip(u, v), start=1))
+
+
+def run_optimized(probe):
+    """The stdout of probe run by python -O, where assert statements are
+    stripped, with this checkout's package on the path."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True,
+                          env=env, check=True).stdout
 
 
 def _flat(blocks):

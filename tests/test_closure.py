@@ -1,14 +1,16 @@
 """Brute-force module closure: hand-checked sets, idempotence, budgets, and
-agreement with a Codeword-level saturation."""
+agreement with Codeword-level saturations (breadth-first, and by cosets)."""
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedcyclic.closure import module_closure
 from mixedcyclic.codespace import AlphabetProfile, Codeword, ProfileMismatch, cyclic_shift
 
-from conftest import codeword_closure, kernel_families
+from conftest import codeword_closure, coset_closure, kernel_families, run_optimized
 
 
 def test_zero_seed():
@@ -95,10 +97,76 @@ def test_closure_matches_the_codeword_saturation(seeds):
 
 @pytest.mark.parametrize("budget", [0, 1, 2, 7, 33])
 def test_budget_stopped_closure_matches_the_codeword_saturation(budget):
-    # the same breadth-first order keeps the same partial set
+    # the same orbit order and whole cosets keep the same partial set
     for name, seeds in _generator_seeds():
         res = module_closure(seeds, budget=budget)
-        expected, saturated = codeword_closure(seeds, budget=budget)
+        expected, saturated = coset_closure(seeds, budget=budget)
         assert (res.elements, res.saturated) == (expected, saturated), name
         if len(module_closure(seeds)) > max(budget, 1):
             assert not res.saturated and len(res) <= max(budget, 1), name
+
+
+@st.composite
+def seed_lists(draw):
+    """A profile with n from 1 to 8 (two-byte fields at n = 8) and 1 to 4
+    seeds over it: zero seeds, repeats of an earlier seed, and words whose
+    blocks repeat a pattern of a length dividing alpha_i (short shift
+    periods).  Level i holds multiples of 2^(i - t_i), a shift-closed
+    subgroup of at most 2^8 words, so the plain-tuple references stay fast;
+    at level 8 the multiples of 64 carry past a field's low byte."""
+    n = draw(st.integers(1, 8), label="n")
+    alphas = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n), label="alphas")
+    tops, room = [0] * n, 8
+    for i in draw(st.permutations(range(1, n + 1)), label="order"):  # who gets the room first
+        tops[i - 1] = draw(st.integers(min(1, room // alphas[i - 1]), min(i, room // alphas[i - 1])))
+        room -= tops[i - 1] * alphas[i - 1]
+    profile = AlphabetProfile(alphas, allow_nonstandard=True)
+    seeds = []
+    for _ in range(draw(st.integers(1, 4), label="seeds")):
+        kind = draw(st.sampled_from(["zero", "repeat", "word", "word"]))
+        if kind == "zero":
+            seeds.append(Codeword.zero(profile))
+        elif kind == "repeat" and seeds:
+            seeds.append(draw(st.sampled_from(seeds)))
+        else:
+            blocks = []
+            for i, (a, t) in enumerate(zip(alphas, tops), start=1):
+                period = draw(st.sampled_from([d for d in range(1, a + 1) if a % d == 0]))
+                pattern = draw(st.lists(st.integers(0, (1 << t) - 1), min_size=period,
+                                        max_size=period))
+                blocks.append([c << (i - t) for c in pattern] * (a // period))
+            seeds.append(Codeword(profile, blocks))
+    return seeds
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed_lists(), st.data())
+def test_closure_matches_the_tuple_saturations_on_random_seeds(seeds, data):
+    full = module_closure(seeds)
+    assert (full.elements, full.saturated) == codeword_closure(seeds)
+    size = len(full)
+    budget = data.draw(st.sampled_from([0, 1, size // 2, size - 1, size, size + 1])
+                       | st.integers(0, 2 * size), label="budget")
+    part = module_closure(seeds, budget=budget)
+    assert part.saturated == (size <= max(budget, 1))
+    assert part.words <= full.words and len(part) <= max(budget, 1)
+    assert (part.elements, part.saturated) == coset_closure(seeds, budget=budget)
+
+
+def test_shift_sweep_raises_under_python_O():
+    # an explicit raise, not an assert statement: python -O keeps the check
+    probe = """
+import sys
+from mixedcyclic.closure import module_closure
+from mixedcyclic.codespace import AlphabetProfile, Codeword, Packing
+seed = Codeword.from_text(AlphabetProfile((3, 3)), "1,1,0|1,1,3")
+print(sys.flags.optimize, module_closure([seed]).saturated)
+shift = Packing.shift
+Packing.shift = lambda self, w: shift(self, w) ^ 1
+try:
+    module_closure([seed])
+except AssertionError as e:
+    print("AssertionError:", e)
+"""
+    assert run_optimized(probe) == ("1 True\n"
+                                    "AssertionError: the closure is not closed under the shift\n")

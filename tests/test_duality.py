@@ -24,7 +24,7 @@ from mixedcyclic.duality import (
 from mixedcyclic.spanning import Code
 
 from test_random_families import _random_family
-from conftest import EVEN_LEAD_A2, UNIT_LAYER_A2, family_33
+from conftest import DEMO_CODES, EVEN_LEAD_A2, UNIT_LAYER_A2, family_33, run_optimized
 
 
 def test_inner_product_examples():
@@ -216,6 +216,23 @@ def test_dual_of_the_dual_is_the_code_on_every_desk_code():
         assert double.exponent == code.exponent, g.profile
         for a, b in ((code, double), (double, code)):
             assert all(a.basis.reduce(a.basis.pack(row)) is not None for _, _, row in b.basis)
+
+
+def test_dual_size_check_raises_under_python_O():
+    # an explicit raise, not an assert statement: python -O keeps the check
+    doc = DEMO_CODES / "toy_n2.json"
+    probe = f"""
+import pathlib, sys
+from mixedcyclic.cli import load_code_spec
+code = load_code_spec(pathlib.Path({str(doc)!r}).read_text()).code
+print(sys.flags.optimize, len(code.dual(1 << 16)[0]))
+code.exponent += 1
+try:
+    code.dual(1 << 16)
+except AssertionError as e:
+    print("AssertionError:", e)
+"""
+    assert run_optimized(probe) == "1 8\nAssertionError: |C| * |C-perp| != |ambient|\n"
 
 
 def test_solved_dual_of_the_paper_example(example855):
